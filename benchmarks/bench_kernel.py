@@ -1,4 +1,5 @@
-"""Benchmarks the compiled kernels against the pure-Python twins.
+"""Benchmarks the compiled kernels against the pure-Python twins: the
+profile closure, and the two interpreters running the same formula programs.
 
 Run:  python3 benchmarks/bench_kernel.py [--seconds 2]
 """
@@ -8,7 +9,8 @@ import random
 import time
 
 from awarecheck._kernel_py import close_profiles as close_py
-from awarecheck.checker import KXA, _compile_program, _context
+from awarecheck._kernel_py import make_evaluator as make_pure_evaluator
+from awarecheck.checker import KXA, _context, _program
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import generate_random
 
@@ -33,11 +35,8 @@ def closure_inputs(models):
     out = []
     for m in models:
         ctx = _context(m, KXA)
-        agents = range(1, m.agents + 1)
-        out.append((ctx.nw, ctx.lang_masks, ctx.prop_true,
-                    [ctx.succ[i] for i in agents],
-                    [ctx.aware[i] for i in agents],
-                    True, True, True, True, True, False, 4_000_000))
+        out.append((ctx.nw, ctx.lang_masks, ctx.prop_true, ctx.succ,
+                    ctx.aware, True, True, True, True, True, False, 4_000_000))
     return out
 
 
@@ -68,33 +67,26 @@ def main():
     formulas = [random_sentence(rng, ("p", "q"), 2, max_depth=4,
                                 quantifier_prob=0.3) for _ in range(64)]
     ctxs = [_context(m, KXA) for m in models]
+    programs = [_program(models[0], f) for f in formulas]
 
-    def run_pure():
-        for ctx in ctxs:
-            ctx._memo.clear()
-            for f in formulas:
-                ctx.masks(f, {})
+    def evaluators(make):
+        return [make(*ctx.eval_inputs) for ctx in ctxs]
 
-    rate_pure = timed(run_pure, args.seconds)
-    print(f"eval     python: {rate_pure * len(ctxs) * len(formulas):8.0f} "
-          "evals/s")
-    if make_evaluator is not None:
-        evs = []
-        for ctx in ctxs:
-            agents = range(1, ctx.m.agents + 1)
-            evs.append(make_evaluator(
-                ctx.nw, ctx.prop_world_masks, ctx.prop_true,
-                [ctx.succ[i] for i in agents],
-                [ctx.aware[i] for i in agents], ctx.profiles))
-        programs = [_compile_program(f, ctxs[0].pidx) for f in formulas]
-
-        def run_fast():
+    def run_programs(evs):
+        def go():
             for ev in evs:
-                for prog, root in programs:
-                    ev.run(prog, root)
+                for program in programs:
+                    ev.run(*program)
+        return go
 
-        rate_fast = timed(run_fast, args.seconds)
-        print(f"eval     c:      {rate_fast * len(ctxs) * len(formulas):8.0f} "
+    n_evals = len(ctxs) * len(programs)
+    rate_pure = timed(run_programs(evaluators(make_pure_evaluator)),
+                      args.seconds)
+    print(f"eval     python: {rate_pure * n_evals:8.0f} evals/s")
+    if make_evaluator is not None:
+        rate_fast = timed(run_programs(evaluators(make_evaluator)),
+                          args.seconds)
+        print(f"eval     c:      {rate_fast * n_evals:8.0f} "
               f"evals/s ({rate_fast / rate_pure:.1f}x)")
 
 

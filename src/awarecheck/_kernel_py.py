@@ -1,4 +1,5 @@
-"""Pure-Python profile-closure kernel.
+"""Pure-Python kernels: the profile closure and the formula-program
+interpreter.
 
 A profile is a pair (vocab mask over propositions, truth mask over worlds);
 the truth mask is meaningful only on the worlds whose language contains the
@@ -6,7 +7,12 @@ vocabulary.  Closing the seed profiles (one per proposition) under the
 language's operators yields every (vocabulary, truth map) realizable by a
 quantifier-free sentence, which is what the quantifier clause ranges over.
 
-awarecheck._kernel_c implements the same function in Cython; awarecheck.kernel
+A formula program is the one formula IR that both interpreters run:
+parallel lists (ops, arg1, arg2, aux, prop masks, used-slot masks) plus the
+slot count, as checker._compile_program builds them.  Arguments are earlier
+nodes; aux is a proposition index, a quantifier slot or a 0-based agent.
+
+awarecheck._kernel_c implements both functions in Cython; awarecheck.kernel
 picks whichever is importable.
 """
 
@@ -18,6 +24,9 @@ OP_AND = 3
 OP_K = 4
 OP_A = 5
 OP_X = 6
+
+# program opcodes
+P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
 
 
 def close_profiles(n_worlds, lang_masks, prop_true_masks, succ_masks,
@@ -110,3 +119,102 @@ def close_profiles(n_worlds, lang_masks, prop_true_masks, succ_masks,
             raise RuntimeError(
                 f"profile closure exceeded {max_profiles} profiles")
         frontier = known
+
+
+class _Eval:
+    """Runs formula programs against one (model, domain) pair; the pure
+    twin of _kernel_c._Eval, with the same results bit for bit.
+
+    env[s] is the index of the profile bound to slot s.  Node values are
+    memoized per loaded program under the profiles bound to the slots they
+    use, so a node that does not use a quantifier's slot is evaluated once,
+    not once per profile."""
+
+    def __init__(self, n_worlds, prop_world_masks, prop_true, succ_masks,
+                 aware_masks, profiles):
+        self.n_worlds = n_worlds
+        self.full = (1 << n_worlds) - 1
+        self.pwm = prop_world_masks
+        self.ptrue = prop_true
+        self.succ = succ_masks
+        self.aware = aware_masks
+        self.profiles = profiles
+        self.dom_cache = {0: self.full}
+        self.program = None
+
+    def dom(self, vocab):
+        """Worlds whose language contains the vocabulary."""
+        d = self.dom_cache.get(vocab)
+        if d is None:
+            d = self.full
+            for j, worlds in enumerate(self.pwm):
+                if (vocab >> j) & 1:
+                    d &= worlds
+            self.dom_cache[vocab] = d
+        return d
+
+    def run(self, program, root):
+        """(vocab mask, truth mask) over all worlds of a program's root.  The
+        program and its node values stay loaded for node() and for runs of
+        the same program until another one runs."""
+        if program is not self.program:
+            self.program = program
+            (self.op, self.a1, self.a2, self.aux, self.props, self.uses,
+             nslots) = program
+            self.used = [tuple(s for s in range(nslots) if (u >> s) & 1)
+                         if u else () for u in self.uses]
+            self.env = [0] * nslots
+            self.memo = {}
+        return self.node(root)
+
+    def node(self, i):
+        """(vocab mask, truth mask) of node i of the loaded program under the
+        slot bindings in env."""
+        used = self.used[i]
+        key = (i, *map(self.env.__getitem__, used)) if used else i
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        code = self.op[i]
+        if code == P_PROP:
+            j = self.aux[i]
+            out = (1 << j, self.ptrue[j])
+        elif code == P_TOP:
+            out = (0, self.full)
+        elif code == P_VAR:
+            out = self.profiles[self.env[self.aux[i]]]
+        elif code == P_NOT:
+            v, t = self.node(self.a1[i])
+            out = (v, self.dom(v) & ~t)
+        elif code == P_AND:
+            v, t = self.node(self.a1[i])
+            v2, t2 = self.node(self.a2[i])
+            out = (v | v2, t & t2)
+        elif code == P_FORALL:
+            slot, body = self.aux[i], self.a1[i]
+            veff = self.props[i]
+            for s in used:
+                veff |= self.profiles[self.env[s]][0]
+            result = self.dom(veff)
+            for k, (pv, _) in enumerate(self.profiles):
+                if not result:
+                    break
+                self.env[slot] = k
+                result &= ~(self.dom(pv) & ~self.node(body)[1])
+            out = (veff, result)
+        else:  # P_K, P_A, P_X
+            v, t = self.node(self.a1[i])
+            succ, aware = self.succ[self.aux[i]], self.aware[self.aux[i]]
+            g = self.dom(v)
+            for w in range(self.n_worlds):
+                if (code != P_A and succ[w] & ~t) or \
+                        (code != P_K and v & ~aware[w]):
+                    g &= ~(1 << w)
+            out = (v, g)
+        self.memo[key] = out
+        return out
+
+
+# make_evaluator(n_worlds, prop_world_masks, prop_true, succ_masks,
+#                aware_masks, profiles), as in _kernel_c
+make_evaluator = _Eval

@@ -5,15 +5,23 @@ contained in the world's language; otherwise the usual clauses apply, with
 K_i phi counting an Undefined successor as a failure.  The propositional
 quantifier ranges over an infinite set of quantifier-free sentences; it is
 decided by quotienting that set to realizable truth profiles (see kernel).
+
+Every sentence is compiled once per proposition order into a formula
+program, the one IR that both interpreters run and the witness search walks
+(see kernel); the brute-force oracle (direct_evaluate) stays independent.
 """
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
+from ._kernel_py import (P_A, P_AND, P_FORALL, P_K, P_NOT, P_PROP, P_TOP,
+                         P_VAR, P_X)
 from .kernel import (OP_A, OP_AND, OP_K, OP_NOT, OP_PROP, OP_TOP, OP_X,
-                     close_profiles, make_evaluator)
+                     close_profiles, make_evaluator, make_pure_evaluator)
+from .model import AwarenessStructure
 from .syntax import (TOP, A, And, Forall, K, Not, Prop, Top, Var, X,
-                     free_vars, is_quantifier_free, is_sentence, vocabulary)
+                     free_vars, is_quantifier_free, vocabulary)
 from .syntax import _subst_var
 
 __all__ = [
@@ -80,7 +88,7 @@ class OracleBudgetExceeded(RuntimeError):
 
 class _Context:
     """Per-(structure, domain) evaluation state: bitmask encodings, the
-    profile fixpoint, and memo tables."""
+    profile fixpoint, and the evaluators that run formula programs."""
 
     def __init__(self, m, domain):
         self.m = m
@@ -89,10 +97,8 @@ class _Context:
         self.props = m.props
         self.widx = {w: i for i, w in enumerate(m.worlds)}
         self.pidx = {p: j for j, p in enumerate(m.props)}
-        self.propset = frozenset(m.props)
         nw = len(m.worlds)
         self.nw = nw
-        self.full = (1 << nw) - 1
         self.lang_masks = [self._pmask(m.lang[w]) for w in m.worlds]
         self.prop_world_masks = [
             self._wmask([w for w in m.worlds if p in m.lang[w]])
@@ -100,29 +106,30 @@ class _Context:
         ]
         self.prop_true = [self._wmask([w for w in m.worlds if p in m.val[w]])
                           for p in m.props]
-        self.succ = {}
-        self.aware = {}
+        # successor and awareness masks per world, per 0-based agent
+        self.succ = [[0] * nw for _ in range(m.agents)]
         for i in range(1, m.agents + 1):
-            succ = [0] * nw
             for (s, t) in m.rel[i]:
-                succ[self.widx[s]] |= 1 << self.widx[t]
-            self.succ[i] = succ
-            self.aware[i] = [self._pmask(m.aware[i][w]) for w in m.worlds]
+                self.succ[i - 1][self.widx[s]] |= 1 << self.widx[t]
+        self.aware = [[self._pmask(m.aware[i][w]) for w in m.worlds]
+                      for i in range(1, m.agents + 1)]
         ops = domain.ops
         self.records, self.layers = close_profiles(
-            nw, self.lang_masks, self.prop_true,
-            [self.succ[i] for i in range(1, m.agents + 1)],
-            [self.aware[i] for i in range(1, m.agents + 1)],
+            nw, self.lang_masks, self.prop_true, self.succ, self.aware,
             "not" in ops, "and" in ops, "K" in ops, "A" in ops, "X" in ops,
             domain.include_top, 4_000_000)
         self.profiles = [(rec[0], rec[1]) for rec in self.records]
         self.stab_depth = max(self.layers, default=0)
-        self._dom_cache = {0: self.full}
-        self._memo = {}
-        self._info = {}
         self._witnesses = {}
-        self._fast = None
-        self._programs = {}
+        self.eval_inputs = (nw, self.prop_world_masks, self.prop_true,
+                            self.succ, self.aware, self.profiles)
+        self.pure = self.evaluator = make_pure_evaluator(*self.eval_inputs)
+        if make_evaluator is not make_pure_evaluator:
+            try:
+                self.evaluator = make_evaluator(*self.eval_inputs)
+            except OverflowError:
+                pass
+        self.dom = self.pure.dom
 
     def _pmask(self, props):
         mask = 0
@@ -136,147 +143,12 @@ class _Context:
             mask |= 1 << self.widx[w]
         return mask
 
-    def dom(self, vocab):
-        d = self._dom_cache.get(vocab)
-        if d is None:
-            d = self.full
-            v = vocab
-            while v:
-                j = (v & -v).bit_length() - 1
-                v &= v - 1
-                d &= self.prop_world_masks[j]
-            self._dom_cache[vocab] = d
-        return d
-
-    def info(self, f):
-        """(proposition mask, free variables) per node; also pins the node so
-        id-keyed memos stay sound."""
-        got = self._info.get(id(f))
-        if got is not None:
-            return got[1], got[2]
-        if isinstance(f, Prop):
-            pm, fv = 1 << self.pidx[f.name], frozenset()
-        elif isinstance(f, Top):
-            pm, fv = 0, frozenset()
-        elif isinstance(f, Var):
-            pm, fv = 0, frozenset((f.name,))
-        elif isinstance(f, Not):
-            pm, fv = self.info(f.body)
-        elif isinstance(f, And):
-            pml, fvl = self.info(f.left)
-            pmr, fvr = self.info(f.right)
-            pm, fv = pml | pmr, fvl | fvr
-        elif isinstance(f, (K, A, X)):
-            if f.agent not in self.succ:
-                raise ValueError(f"unknown agent {f.agent}")
-            pm, fv = self.info(f.body)
-        elif isinstance(f, Forall):
-            pm, fv = self.info(f.body)
-            fv = fv - {f.var}
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._info[id(f)] = (f, pm, fv)
-        return pm, fv
-
-    def masks(self, f, env):
-        """(vocabulary mask, truth mask) of f over all worlds under env,
-        which binds free variables to profiles."""
-        pm, fv = self.info(f)
-        if fv:
-            key = (id(f), tuple((x, env[x]) for x in fv))
-        else:
-            key = id(f)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, Prop):
-            j = self.pidx[f.name]
-            res = (1 << j, self.prop_true[j])
-        elif isinstance(f, Top):
-            res = (0, self.full)
-        elif isinstance(f, Var):
-            res = env[f.name]
-        elif isinstance(f, Not):
-            vb, tb = self.masks(f.body, env)
-            res = (vb, self.dom(vb) & ~tb)
-        elif isinstance(f, And):
-            vl, tl = self.masks(f.left, env)
-            vr, tr = self.masks(f.right, env)
-            res = (vl | vr, tl & tr)
-        elif isinstance(f, K):
-            vb, tb = self.masks(f.body, env)
-            res = (vb, self._k_mask(f.agent, vb, tb))
-        elif isinstance(f, A):
-            vb, tb = self.masks(f.body, env)
-            res = (vb, self._a_mask(f.agent, vb))
-        elif isinstance(f, X):
-            vb, tb = self.masks(f.body, env)
-            res = (vb,
-                   self._k_mask(f.agent, vb, tb) & self._a_mask(f.agent, vb))
-        elif isinstance(f, Forall):
-            veff = pm
-            for x in fv:
-                veff |= env[x][0]
-            result = self.dom(veff)
-            for prof in self.profiles:
-                env2 = dict(env)
-                env2[f.var] = prof
-                _, tb = self.masks(f.body, env2)
-                result &= ~(self.dom(prof[0]) & ~tb)
-                if not result:
-                    break
-            res = (veff, result)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._memo[key] = res
-        return res
-
-    def _k_mask(self, agent, vocab, truth):
-        d = self.dom(vocab)
-        succ = self.succ[agent]
-        g = 0
-        for w in range(self.nw):
-            if (d >> w) & 1 and not succ[w] & ~truth:
-                g |= 1 << w
-        return g
-
-    def _a_mask(self, agent, vocab):
-        d = self.dom(vocab)
-        aware = self.aware[agent]
-        g = 0
-        for w in range(self.nw):
-            if (d >> w) & 1 and not vocab & ~aware[w]:
-                g |= 1 << w
-        return g
-
-    def sentence_masks(self, f):
-        """Whole-model (vocab, truth) masks of a sentence, through the
-        compiled evaluator when available."""
-        if self._fast is None:
-            if make_evaluator is None:
-                self._fast = False
-            else:
-                agents = range(1, self.m.agents + 1)
-                try:
-                    self._fast = make_evaluator(
-                        self.nw, self.prop_world_masks, self.prop_true,
-                        [self.succ[i] for i in agents],
-                        [self.aware[i] for i in agents], self.profiles)
-                except OverflowError:
-                    self._fast = False
-        if self._fast is False:
-            return self.masks(f, {})
-        key = (id(f), self.props)
-        entry = _PROGRAMS.get(key)
-        if entry is None:
-            if len(_PROGRAMS) > 200_000:
-                _PROGRAMS.clear()
-            entry = (f,) + _compile_program(f, self.pidx)
-            _PROGRAMS[key] = entry
+    def run(self, code, root):
+        """Whole-model (vocab, truth) masks of a compiled sentence."""
         try:
-            return self._fast.run(entry[1], entry[2])
+            return self.evaluator.run(code, root)
         except OverflowError:
-            return self.masks(f, {})
+            return self.pure.run(code, root)
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
@@ -319,36 +191,40 @@ def _context(m, domain):
     return ctx
 
 
-# program opcodes for the compiled evaluator
-_P_PROP, _P_TOP, _P_VAR, _P_NOT, _P_AND, _P_K, _P_A, _P_X, _P_FORALL = \
-    range(9)
-
-_PROGRAMS = {}
-_FORMULA_INFO = {}
+# id(sentence) -> {proposition order: _compile_program result}; an entry
+# leaves with its sentence, so the cache keeps no formula alive
+_COMPILED = {}
 
 
-def _finfo(f):
-    """(free vars, vocabulary, agent range) of a formula, cached per
-    object."""
-    got = _FORMULA_INFO.get(id(f))
-    if got is None:
-        if len(_FORMULA_INFO) > 200_000:
-            _FORMULA_INFO.clear()
-        agents = [g.agent for g in _walk(f) if isinstance(g, (K, A, X))]
-        got = (f, free_vars(f), vocabulary(f), max(agents, default=0),
-               min(agents, default=1))
-        _FORMULA_INFO[id(f)] = got
-    return got[1], got[2], got[3], got[4]
+def _program(m, f):
+    """(code, root) of the sentence f over m's proposition order, compiled
+    once per order; ValueError if f is not a sentence of m."""
+    per = _COMPILED.get(id(f))
+    compiled = None if per is None else per.get(m.props)
+    if compiled is None:
+        compiled = _compile_program(
+            f, {p: j for j, p in enumerate(m.props)})
+        if per is None:
+            per = _COMPILED[id(f)] = {}
+            weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
+        per[m.props] = compiled
+    code, root, low, high = compiled
+    if high > m.agents or low < 1:
+        raise ValueError(f"unknown agent {high if high > m.agents else low}")
+    return code, root
 
 
 def _compile_program(f, pidx):
-    """Flattens a formula into parallel instruction lists for the compiled
-    evaluator: (ops, arg1, arg2, aux, static prop masks, used-slot masks,
-    slot count) plus the root index.  Bound variables become numbered
-    slots; shadowing allocates a fresh slot."""
+    """Flattens a sentence into (code, root, lowest agent, highest agent):
+    code is the program in the evaluators' format (see _kernel_py), root the
+    index of its last node, and the agent range is (1, 0) for a sentence
+    without modal operators.  Bound variables become numbered slots;
+    shadowing allocates a fresh slot.  Raises ValueError for free variables
+    and for propositions missing from pidx."""
     ops, a1, a2, aux, props, uses = [], [], [], [], [], []
     slots = {}
     nslots = 0
+    agents = set()
 
     def push(o, x, y, z, pm, us):
         ops.append(o)
@@ -362,25 +238,32 @@ def _compile_program(f, pidx):
     def go(g):
         nonlocal nslots
         if isinstance(g, Prop):
+            if g.name not in pidx:
+                raise ValueError(f"formula mentions unknown propositions "
+                                 f"{sorted(vocabulary(f) - set(pidx))}")
             j = pidx[g.name]
-            return push(_P_PROP, -1, -1, j, 1 << j, 0)
+            return push(P_PROP, -1, -1, j, 1 << j, 0)
         if isinstance(g, Top):
-            return push(_P_TOP, -1, -1, -1, 0, 0)
+            return push(P_TOP, -1, -1, -1, 0, 0)
         if isinstance(g, Var):
+            if g.name not in slots:
+                raise ValueError(f"not a sentence; free variables "
+                                 f"{sorted(free_vars(f))}")
             s = slots[g.name]
-            return push(_P_VAR, -1, -1, s, 0, 1 << s)
+            return push(P_VAR, -1, -1, s, 0, 1 << s)
         if isinstance(g, Not):
             b = go(g.body)
-            return push(_P_NOT, b, -1, -1, props[b], uses[b])
+            return push(P_NOT, b, -1, -1, props[b], uses[b])
         if isinstance(g, And):
             left = go(g.left)
             right = go(g.right)
-            return push(_P_AND, left, right, -1, props[left] | props[right],
+            return push(P_AND, left, right, -1, props[left] | props[right],
                         uses[left] | uses[right])
         if isinstance(g, (K, A, X)):
+            agents.add(g.agent)
             b = go(g.body)
-            code = _P_K if isinstance(g, K) else \
-                _P_A if isinstance(g, A) else _P_X
+            code = P_K if isinstance(g, K) else \
+                P_A if isinstance(g, A) else P_X
             return push(code, b, -1, g.agent - 1, props[b], uses[b])
         if isinstance(g, Forall):
             s = nslots
@@ -392,39 +275,19 @@ def _compile_program(f, pidx):
                 del slots[g.var]
             else:
                 slots[g.var] = old
-            return push(_P_FORALL, b, -1, s, props[b], uses[b] & ~(1 << s))
+            return push(P_FORALL, b, -1, s, props[b], uses[b] & ~(1 << s))
         raise TypeError(f"not a formula: {g!r}")
 
     root = go(f)
-    return (ops, a1, a2, aux, props, uses, nslots), root
-
-
-def _require_sentence(f):
-    fv = free_vars(f)
-    if fv:
-        raise ValueError(f"not a sentence; free variables {sorted(fv)}")
-
-
-def _check_vocab(m, f):
-    missing = vocabulary(f) - set(m.props)
-    if missing:
-        raise ValueError(f"formula mentions unknown propositions "
-                         f"{sorted(missing)}")
+    return ((ops, a1, a2, aux, props, uses, nslots), root,
+            min(agents, default=1), max(agents, default=0))
 
 
 def _sentence_masks(m, f, domain):
     """Context plus whole-model (vocab, truth) masks for a sentence."""
-    fv, vocab, max_agent, min_agent = _finfo(f)
-    if fv:
-        raise ValueError(f"not a sentence; free variables {sorted(fv)}")
-    if max_agent > m.agents or min_agent < 1:
-        raise ValueError(
-            f"unknown agent {max_agent if max_agent > m.agents else min_agent}")
+    code, root = _program(m, f)
     ctx = _context(m, domain)
-    if not vocab <= ctx.propset:
-        _check_vocab(m, f)
-    vmask, truth = ctx.sentence_masks(f)
-    return ctx, vmask, truth
+    return (ctx,) + ctx.run(code, root)
 
 
 def evaluate(m, world, f, domain=KXA):
@@ -432,10 +295,7 @@ def evaluate(m, world, f, domain=KXA):
     ctx, vocab, truth = _sentence_masks(m, f, domain)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
-    w = ctx.widx[world]
-    if not (ctx.dom(vocab) >> w) & 1:
-        return Truth.UNDEFINED
-    return Truth.TRUE if (truth >> w) & 1 else Truth.FALSE
+    return _truth_at(ctx, ctx.widx[world], vocab, truth)
 
 
 def satisfying_worlds(m, f, domain=KXA):
@@ -485,43 +345,49 @@ def forall_witness(m, world, f, domain=KXA):
     `forall x phi` the instance making phi fail, also when the quantifier is
     buried under negation, conjunction or a refuted K/X.  None when no
     quantifier is responsible."""
-    ctx, _, _ = _sentence_masks(m, f, domain)
+    code, root = _program(m, f)
+    ctx = _context(m, domain)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
-    return _quantifier_witness(ctx, ctx.widx[world], f)
+    ctx.pure.run(code, root)
+    return _quantifier_witness(ctx, ctx.widx[world], root)
 
 
-def _truth_at(ctx, w, f):
-    vocab, truth = ctx.masks(f, {})
+def _truth_at(ctx, w, vocab, truth):
     if not (ctx.dom(vocab) >> w) & 1:
         return Truth.UNDEFINED
     return Truth.TRUE if (truth >> w) & 1 else Truth.FALSE
 
 
-def _quantifier_witness(ctx, w, f):
-    value = _truth_at(ctx, w, f)
-    if isinstance(f, Forall) and value is Truth.FALSE:
-        for idx, prof in enumerate(ctx.profiles):
-            if not (ctx.dom(prof[0]) >> w) & 1:
+def _quantifier_witness(ctx, w, i):
+    """Walks node i of the program last run by ctx.pure and the nodes under
+    it that lie outside every quantifier."""
+    ev = ctx.pure
+    op, body = ev.op[i], ev.a1[i]
+    value = _truth_at(ctx, w, *ev.node(i))
+    if op == P_FORALL and value is Truth.FALSE:
+        for k, (vocab, _) in enumerate(ctx.profiles):
+            if not (ctx.dom(vocab) >> w) & 1:
                 continue
-            _, tb = ctx.masks(f.body, {f.var: prof})
-            if not (tb >> w) & 1:
-                return ctx.witness_formula(idx)
+            ev.env[ev.aux[i]] = k
+            if not (ev.node(body)[1] >> w) & 1:
+                return ctx.witness_formula(k)
         return None
-    if isinstance(f, Not) and value in (Truth.TRUE, Truth.FALSE):
-        return _quantifier_witness(ctx, w, f.body)
-    if isinstance(f, And) and value is Truth.FALSE:
-        for part in (f.left, f.right):
-            if _truth_at(ctx, w, part) is Truth.FALSE:
+    if op == P_NOT and value in (Truth.TRUE, Truth.FALSE):
+        return _quantifier_witness(ctx, w, body)
+    if op == P_AND and value is Truth.FALSE:
+        for part in (body, ev.a2[i]):
+            if _truth_at(ctx, w, *ev.node(part)) is Truth.FALSE:
                 got = _quantifier_witness(ctx, w, part)
                 if got is not None:
                     return got
         return None
-    if isinstance(f, (K, X)) and value is Truth.FALSE:
-        succ = ctx.succ[f.agent][w]
+    if op in (P_K, P_X) and value is Truth.FALSE:
+        succ = ctx.succ[ev.aux[i]][w]
         for u in range(ctx.nw):
-            if (succ >> u) & 1 and _truth_at(ctx, u, f.body) is Truth.FALSE:
-                got = _quantifier_witness(ctx, u, f.body)
+            if (succ >> u) & 1 and \
+                    _truth_at(ctx, u, *ev.node(body)) is Truth.FALSE:
+                got = _quantifier_witness(ctx, u, body)
                 if got is not None:
                     return got
         return None
@@ -582,11 +448,7 @@ def direct_evaluate(m, world, f, domain=KXA, forall_depth=2, memo=None,
     Independent of the profile machinery; exact whenever the depth covers
     every realizable profile (see brute_force_forall.stabilized).
     """
-    _require_sentence(f)
-    _check_vocab(m, f)
-    _, _, max_agent, min_agent = _finfo(f)
-    if max_agent > m.agents or min_agent < 1:
-        raise ValueError("unknown agent")
+    _program(m, f)
     state = _oracle_state(m, memo, cap)
     return _direct(m, m.worlds.index(world), f, domain, forall_depth, state)
 
@@ -714,7 +576,7 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
     if fv != frozenset((var,)):
         raise ValueError(f"body must have exactly {var!r} free, has "
                          f"{sorted(fv)}")
-    _check_vocab(m, body)
+    _program(m, Forall(var, body))
     ctx = _context(m, domain)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
@@ -748,100 +610,18 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
     return ForallProbe(Truth.TRUE, stab(Truth.TRUE), depth, n, None)
 
 
-# --- constant-language (single global language) evaluator -------------------
+# --- constant-language (single global language) semantics -----------------
 
 def evaluate_hr(m, world, f, domain=KXA):
-    """Two-valued evaluator for the semantics without world-relative
-    languages: every sentence is defined everywhere, awareness is read off
-    the awareness vocabularies, and the quantifier ranges over all domain
-    sentences over the full proposition set.
-
-    On structures with lang(s) == props everywhere this agrees with
-    evaluate(); that agreement is part of the test suite.
-    """
-    _require_sentence(f)
-    _check_vocab(m, f)
-    _, _, max_agent, min_agent = _finfo(f)
-    if max_agent > m.agents or min_agent < 1:
-        raise ValueError("unknown agent")
-    key = ("hr", domain)
-    cache = m._ctx_cache.get(key)
-    if cache is None:
-        widx = {w: i for i, w in enumerate(m.worlds)}
-        pidx = {p: j for j, p in enumerate(m.props)}
-        nw = len(m.worlds)
-        full = (1 << nw) - 1
-        prop_true = [sum(1 << widx[w] for w in m.worlds if p in m.val[w])
-                     for p in m.props]
-        succ = [[0] * nw for _ in range(m.agents)]
-        aware = [[0] * nw for _ in range(m.agents)]
-        for i in range(1, m.agents + 1):
-            for (s, t) in m.rel[i]:
-                succ[i - 1][widx[s]] |= 1 << widx[t]
-            for w in m.worlds:
-                for p in m.aware[i][w]:
-                    aware[i - 1][widx[w]] |= 1 << pidx[p]
-        ops = domain.ops
-        # constant full language: every profile is total
-        records, _ = close_profiles(
-            nw, [(1 << len(m.props)) - 1] * nw, prop_true, succ, aware,
-            "not" in ops, "and" in ops, "K" in ops, "A" in ops, "X" in ops,
-            domain.include_top, 4_000_000)
-        cache = (widx, pidx, succ, aware, full,
-                 [(r[0], r[1]) for r in records], prop_true)
-        m._ctx_cache[key] = cache
-    widx, pidx, succ, aware, full, profiles, prop_true = cache
-
-    def pmask(g, env):
-        mask = 0
-        for node in _walk(g):
-            if isinstance(node, Prop):
-                mask |= 1 << pidx[node.name]
-            elif isinstance(node, Var) and node.name in env:
-                mask |= env[node.name][0]
-        return mask
-
-    def ev(w, g, env):
-        if isinstance(g, Top):
-            return True
-        if isinstance(g, Prop):
-            return bool((prop_true[pidx[g.name]] >> w) & 1)
-        if isinstance(g, Var):
-            return bool((env[g.name][1] >> w) & 1)
-        if isinstance(g, Not):
-            return not ev(w, g.body, env)
-        if isinstance(g, And):
-            return ev(w, g.left, env) and ev(w, g.right, env)
-        if isinstance(g, K):
-            succs = succ[g.agent - 1][w]
-            return all(not (succs >> u) & 1 or ev(u, g.body, env)
-                       for u in range(len(m.worlds)))
-        if isinstance(g, A):
-            return not pmask(g.body, env) & ~aware[g.agent - 1][w]
-        if isinstance(g, X):
-            return ev(w, A(g.agent, g.body), env) and \
-                ev(w, K(g.agent, g.body), env)
-        if isinstance(g, Forall):
-            for prof in profiles:
-                env2 = dict(env)
-                env2[g.var] = prof
-                if not ev(w, g.body, env2):
-                    return False
-            return True
-        raise TypeError(f"not a formula: {g!r}")
-
-    value = ev(widx[world], f, {})
-    return Truth.TRUE if value else Truth.FALSE
-
-
-def _walk(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, And):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, (K, A, X, Forall)):
-            stack.append(g.body)
+    """Truth in the semantics without world-relative languages: f evaluated
+    in m with every world's language set to the full proposition set, so
+    every sentence is defined everywhere, awareness is read off the
+    awareness vocabularies, and the quantifier ranges over all domain
+    sentences.  Never Undefined."""
+    view = m._ctx_cache.get("hr")
+    if view is None:
+        view = AwarenessStructure(m.agents, m.props, m.worlds,
+                                  {w: m.props for w in m.worlds}, m.val,
+                                  m.rel, m.aware, check=False)
+        m._ctx_cache["hr"] = view
+    return evaluate(view, world, f, domain)

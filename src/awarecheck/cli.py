@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 = True / ok / accepted / valid, 1 = False / violation /
-counterexample / rejected, 2 = load or parse error, 3 = Undefined.
+counterexample / rejected, 2 = load or parse error (a formula nested too
+deeply to handle included), 3 = Undefined.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -300,7 +302,9 @@ def _add_common(p, domain=True):
                        help="let the constant `true` join the quantifier domain")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once per process."""
     ap = argparse.ArgumentParser(
         prog="awarecheck",
         description="Model checking and proof checking for epistemic logics "
@@ -401,6 +405,9 @@ def main(argv=None):
         code = args.fn(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
+    except RecursionError:
+        # a formula too deep for the recursive code past the parser
+        code = _fail("formula nested too deeply")
     return code
 
 

@@ -1,15 +1,17 @@
-"""Selects the compiled kernels (profile closure + formula evaluator),
-falling back to pure Python.
+"""Selects the compiled kernels (profile closure + formula-program
+interpreter), falling back to pure Python.
 
-The compiled kernels handle up to 64 worlds/propositions; larger inputs
-(far beyond desk scale) route to the pure implementations.  Setting
-AWARECHECK_PURE=1 in the environment forces the pure path everywhere.
+The compiled kernels handle up to 64 worlds/propositions; on larger inputs
+(far beyond desk scale) the closure routes to the pure one itself, and the
+compiled evaluator raises OverflowError so the caller can run the pure one.
+Setting AWARECHECK_PURE=1 in the environment forces the pure path everywhere.
 """
 
 import os
 
 from ._kernel_py import OP_A, OP_AND, OP_K, OP_NOT, OP_PROP, OP_TOP, OP_X
 from ._kernel_py import close_profiles as _close_py
+from ._kernel_py import make_evaluator as make_pure_evaluator
 
 try:
     if os.environ.get("AWARECHECK_PURE"):
@@ -20,7 +22,7 @@ try:
     BACKEND = "c"
 except ImportError:
     _close_c = None
-    make_evaluator = None
+    make_evaluator = make_pure_evaluator
     BACKEND = "python"
 
 
@@ -37,5 +39,6 @@ def close_profiles(n_worlds, lang_masks, prop_true_masks, succ_masks,
                      include_top, max_profiles)
 
 
-__all__ = ["close_profiles", "make_evaluator", "BACKEND", "OP_PROP",
-           "OP_TOP", "OP_NOT", "OP_AND", "OP_K", "OP_A", "OP_X"]
+__all__ = ["close_profiles", "make_evaluator", "make_pure_evaluator",
+           "BACKEND", "OP_PROP", "OP_TOP", "OP_NOT", "OP_AND", "OP_K", "OP_A",
+           "OP_X"]

@@ -183,11 +183,6 @@ def is_quantifier_free(f):
     return not any(isinstance(g, Forall) for g in subformulas(f))
 
 
-def max_agent(f):
-    return max((g.agent for g in subformulas(f) if isinstance(g, (K, A, X))),
-               default=0)
-
-
 def subst_var(f, x, psi):
     """f[x/psi]: replace free occurrences of the variable x by psi.
 
@@ -407,10 +402,14 @@ def parse(text, n_agents=None):
     """Parses text to a (desugared) Formula.
 
     n_agents, when given, bounds the agent indices accepted in modal
-    operators.
+    operators.  Raises ParseError for malformed input and for nesting too
+    deep for the recursive descent (about a thousand prefix operators).
     """
     parser = _Parser(_tokenize(text), n_agents)
-    f = parser.expr()
+    try:
+        f = parser.expr()
+    except RecursionError:
+        raise ParseError("formula nested too deeply to parse", 0) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting with {value!r}", pos)

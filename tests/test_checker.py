@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -303,6 +305,18 @@ def test_hr_agreement_on_constant_language_models():
     assert count > 300
 
 
+def test_hr_shadowed_quantifier():
+    # the inner quantifier rebinds #y, so the body has the empty vocabulary
+    # whatever the outer #y is bound to; the agent is unaware of q
+    m = AwarenessStructure(1, ["p", "q"], ["w0"], {"w0": {"p", "q"}},
+                           {"w0": set()}, {1: [("w0", "w0")]},
+                           {1: {"w0": {"p"}}})
+    f = parse("forall #y . A1 (forall #y . #y)", 1)
+    assert evaluate(m, "w0", f) is T
+    assert direct_evaluate(m, "w0", f) is T
+    assert evaluate_hr(m, "w0", f) is T
+
+
 def test_hr_weak_validity_equals_plain_validity():
     # with one global language the two validity notions coincide
     rng = random.Random(31)
@@ -334,6 +348,17 @@ def test_xa_domain_differs_from_kxa_where_expected():
     assert xa < kxa
     assert (frozenset(("p",)),
             (("u", True), ("v", True), ("w", False))) in kxa - xa
+
+
+def test_evaluated_sentences_are_not_retained():
+    m = barcan_model()
+    f = parse(PSI_UNCERTAIN, 1)
+    evaluate(m, "s", f)
+    weak_counterexample(m, f)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_memoization_consistency():

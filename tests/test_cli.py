@@ -38,6 +38,11 @@ def test_eval_error_exits(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", BARCAN, "s", "A1 #x")
     assert code == 2 and "sentence" in err
+    # nesting too deep to handle is an error, never 1 ("False")
+    for text in ("K1 " * 1000 + "p", "K1 " * 3000 + "p",
+                 " & ".join(["p"] * 1500)):
+        code, out, err = run(capsys, "eval", BARCAN, "s", text)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_eval_witness_closed_loop(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from awarecheck import kernel
 from awarecheck._kernel_py import close_profiles as close_py
-from awarecheck.checker import KXA, XA, QuantifierDomain, _context
+from awarecheck._kernel_py import make_evaluator as make_pure_evaluator
+from awarecheck.checker import KXA, XA, QuantifierDomain, _context, _program
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import generate_random
 
@@ -21,10 +22,8 @@ needs_c = pytest.mark.skipif(close_c is None,
 
 def _kernel_inputs(m, domain):
     ctx = _context(m, domain)
-    agents = range(1, m.agents + 1)
     ops = domain.ops
-    return (ctx.nw, ctx.lang_masks, ctx.prop_true,
-            [ctx.succ[i] for i in agents], [ctx.aware[i] for i in agents],
+    return (ctx.nw, ctx.lang_masks, ctx.prop_true, ctx.succ, ctx.aware,
             "not" in ops, "and" in ops, "K" in ops, "A" in ops, "X" in ops,
             domain.include_top, 4_000_000)
 
@@ -44,18 +43,20 @@ def test_closure_backends_agree():
 
 @needs_c
 def test_eval_backends_agree():
+    # the compiled and the pure interpreter run the same programs
     rng = random.Random(77)
     for seed in range(60):
         m = generate_random(2, 4, ["p", "q"], frozenset(), seed=seed)
         for domain in (KXA, XA):
-            ctx = _context(m, domain)
+            args = _context(m, domain).eval_inputs
+            fast = make_evaluator(*args)
+            pure = make_pure_evaluator(*args)
             for _ in range(8):
                 f = random_sentence(rng, m.props, m.agents, max_depth=4,
                                     quantifier_prob=0.3,
                                     allow_top=(seed % 3 == 0))
-                fast = ctx.sentence_masks(f)
-                pure = ctx.masks(f, {})
-                assert fast == pure, (seed, f)
+                program = _program(m, f)
+                assert fast.run(*program) == pure.run(*program), (seed, f)
 
 
 @needs_c

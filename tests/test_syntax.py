@@ -45,6 +45,10 @@ def test_parse_errors():
     with pytest.raises(ParseError) as err:
         parse("p & )")
     assert "position" in str(err.value)
+    # nesting too deep for the recursive descent is a parse error
+    for text in ("K1 " * 3000 + "p", "(" * 500 + "p" + ")" * 500):
+        with pytest.raises(ParseError):
+            parse(text, 1)
 
 
 def test_desugar_has_no_sugar_nodes():
