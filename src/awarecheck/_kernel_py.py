@@ -8,12 +8,12 @@ language's operators yields every (vocabulary, truth map) realizable by a
 quantifier-free sentence, which is what the quantifier clause ranges over.
 
 A formula program is the one formula IR that both interpreters run:
-parallel lists (ops, arg1, arg2, aux, prop masks, used-slot masks) plus the
+parallel arrays (ops, arg1, arg2, aux, prop masks, used-slot masks) plus the
 slot count, as checker._compile_program builds them.  Arguments are earlier
 nodes; aux is a proposition index, a quantifier slot or a 0-based agent.
 
-awarecheck._kernel_c implements both functions in Cython; awarecheck.kernel
-picks whichever is importable.
+These are the reference kernels: _kernel.c implements both natively, bit for
+bit the same; awarecheck.kernel uses these when it cannot build or load it.
 """
 
 # record ops
@@ -123,7 +123,7 @@ def close_profiles(n_worlds, lang_masks, prop_true_masks, succ_masks,
 
 class _Eval:
     """Runs formula programs against one (model, domain) pair; the pure
-    twin of _kernel_c._Eval, with the same results bit for bit.
+    twin of the native interpreter, with the same results bit for bit.
 
     env[s] is the index of the profile bound to slot s.  Node values are
     memoized per loaded program under the profiles bound to the slots they
@@ -216,5 +216,5 @@ class _Eval:
 
 
 # make_evaluator(n_worlds, prop_world_masks, prop_true, succ_masks,
-#                aware_masks, profiles), as in _kernel_c
+#                aware_masks, profiles), as in awarecheck.kernel
 make_evaluator = _Eval

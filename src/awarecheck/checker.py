@@ -12,13 +12,15 @@ program, the one IR that both interpreters run and the witness search walks
 """
 
 import weakref
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _kernel_py
 from ._kernel_py import (P_A, P_AND, P_FORALL, P_K, P_NOT, P_PROP, P_TOP,
                          P_VAR, P_X)
-from .kernel import (OP_A, OP_AND, OP_K, OP_NOT, OP_PROP, OP_TOP, OP_X,
-                     close_profiles, make_evaluator, make_pure_evaluator)
+from .kernel import (BACKEND, MASK_BITS, OP_A, OP_AND, OP_K, OP_NOT, OP_PROP,
+                     OP_TOP, OP_X, close_profiles, make_evaluator)
 from .model import AwarenessStructure
 from .syntax import (TOP, A, And, Forall, K, Not, Prop, Top, Var, X,
                      free_vars, is_quantifier_free, vocabulary)
@@ -113,8 +115,11 @@ class _Context:
                 self.succ[i - 1][self.widx[s]] |= 1 << self.widx[t]
         self.aware = [[self._pmask(m.aware[i][w]) for w in m.worlds]
                       for i in range(1, m.agents + 1)]
+        # one backend per context; the pure one also serves forall_witness
+        fits = nw <= MASK_BITS and len(m.props) <= MASK_BITS
+        close = close_profiles if fits else _kernel_py.close_profiles
         ops = domain.ops
-        self.records, self.layers = close_profiles(
+        self.records, self.layers = close(
             nw, self.lang_masks, self.prop_true, self.succ, self.aware,
             "not" in ops, "and" in ops, "K" in ops, "A" in ops, "X" in ops,
             domain.include_top, 4_000_000)
@@ -123,12 +128,9 @@ class _Context:
         self._witnesses = {}
         self.eval_inputs = (nw, self.prop_world_masks, self.prop_true,
                             self.succ, self.aware, self.profiles)
-        self.pure = self.evaluator = make_pure_evaluator(*self.eval_inputs)
-        if make_evaluator is not make_pure_evaluator:
-            try:
-                self.evaluator = make_evaluator(*self.eval_inputs)
-            except OverflowError:
-                pass
+        self.pure = _kernel_py.make_evaluator(*self.eval_inputs)
+        self.evaluator = make_evaluator(*self.eval_inputs) \
+            if fits and BACKEND == "c" else self.pure
         self.dom = self.pure.dom
 
     def _pmask(self, props):
@@ -142,13 +144,6 @@ class _Context:
         for w in worlds:
             mask |= 1 << self.widx[w]
         return mask
-
-    def run(self, code, root):
-        """Whole-model (vocab, truth) masks of a compiled sentence."""
-        try:
-            return self.evaluator.run(code, root)
-        except OverflowError:
-            return self.pure.run(code, root)
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
@@ -216,11 +211,11 @@ def _program(m, f):
 
 def _compile_program(f, pidx):
     """Flattens a sentence into (code, root, lowest agent, highest agent):
-    code is the program in the evaluators' format (see _kernel_py), root the
-    index of its last node, and the agent range is (1, 0) for a sentence
-    without modal operators.  Bound variables become numbered slots;
-    shadowing allocates a fresh slot.  Raises ValueError for free variables
-    and for propositions missing from pidx."""
+    code is the program in the evaluators' format (see _kernel_py) with
+    array.array columns, root the index of its last node, and the agent
+    range is (1, 0) for a sentence without modal operators.  Bound variables
+    become numbered slots; shadowing allocates a fresh slot.  Raises
+    ValueError for free variables and for propositions missing from pidx."""
     ops, a1, a2, aux, props, uses = [], [], [], [], [], []
     slots = {}
     nslots = 0
@@ -279,7 +274,10 @@ def _compile_program(f, pidx):
         raise TypeError(f"not a formula: {g!r}")
 
     root = go(f)
-    return ((ops, a1, a2, aux, props, uses, nslots), root,
+    # wider masks stay lists, which the native interpreter never reads
+    code = tuple(array("i", col) for col in (ops, a1, a2, aux)) + tuple(
+        col if max(col) >> 64 else array("Q", col) for col in (props, uses))
+    return (code + (nslots,), root,
             min(agents, default=1), max(agents, default=0))
 
 
@@ -287,7 +285,7 @@ def _sentence_masks(m, f, domain):
     """Context plus whole-model (vocab, truth) masks for a sentence."""
     code, root = _program(m, f)
     ctx = _context(m, domain)
-    return (ctx,) + ctx.run(code, root)
+    return (ctx,) + ctx.evaluator.run(code, root)
 
 
 def evaluate(m, world, f, domain=KXA):

@@ -318,10 +318,10 @@ def _components(pairs, worlds):
         rs, rt = find(s), find(t)
         if rs != rt:
             parent[rs] = rt
-    comps = {}
+    comps = {}  # in the order of each component's first world
     for w in worlds:
         comps.setdefault(find(w), []).append(w)
-    return [comps[r] for r in sorted(comps, key=worlds.index)]
+    return list(comps.values())
 
 
 def generate_random(agents, n_worlds, props, model_class=frozenset(),

@@ -1,23 +1,26 @@
+import os
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from awarecheck import kernel
 from awarecheck._kernel_py import close_profiles as close_py
 from awarecheck._kernel_py import make_evaluator as make_pure_evaluator
-from awarecheck.checker import KXA, XA, QuantifierDomain, _context, _program
+from awarecheck.checker import (KXA, XA, QuantifierDomain, _context, _program,
+                                evaluate)
 from awarecheck.fuzz import random_sentence
-from awarecheck.model import generate_random
+from awarecheck.model import AwarenessStructure, generate_random
+from awarecheck.syntax import And, parse
 
-try:
-    from awarecheck._kernel_c import close_profiles as close_c
-    from awarecheck._kernel_c import make_evaluator
-except ImportError:
-    close_c = None
-    make_evaluator = None
+needs_c = pytest.mark.skipif(kernel.BACKEND != "c",
+                             reason=kernel.BACKEND_REASON)
 
-needs_c = pytest.mark.skipif(close_c is None,
-                             reason="compiled kernel not built")
+PACKAGE = os.path.dirname(kernel.__file__)
+BARCAN = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                      "M_barcan.json")
 
 
 def _kernel_inputs(m, domain):
@@ -28,48 +31,133 @@ def _kernel_inputs(m, domain):
             domain.include_top, 4_000_000)
 
 
+def _closures_agree(m, domain):
+    args = _kernel_inputs(m, domain)
+    recs_py, layers_py = close_py(*args)
+    recs_c, layers_c = kernel.close_profiles(*args)
+    assert recs_py == recs_c
+    assert layers_py == layers_c
+    return recs_c
+
+
+def _evaluators_agree(m, domain, formulas):
+    args = _context(m, domain).eval_inputs
+    native = kernel.make_evaluator(*args)
+    pure = make_pure_evaluator(*args)
+    for f in formulas:
+        program = _program(m, f)
+        assert native.run(*program) == pure.run(*program), f
+
+
+def _conjunction(parts):
+    # balanced, so that the compiler's recursion stays shallow
+    while len(parts) > 1:
+        parts = [And(*parts[k:k + 2]) if k + 1 < len(parts) else parts[k]
+                 for k in range(0, len(parts), 2)]
+    return parts[0]
+
+
 @needs_c
 def test_closure_backends_agree():
     domains = [KXA, XA, QuantifierDomain(include_top=True)]
     for seed in range(40):
         m = generate_random(2, 4, ["p", "q", "r"], frozenset(), seed=seed)
         for domain in domains:
-            args = _kernel_inputs(m, domain)
-            recs_py, layers_py = close_py(*args)
-            recs_c, layers_c = close_c(*args)
-            assert recs_py == recs_c
-            assert layers_py == layers_c
+            _closures_agree(m, domain)
 
 
 @needs_c
 def test_eval_backends_agree():
-    # the compiled and the pure interpreter run the same programs
+    # the native and the pure interpreter run the same programs
     rng = random.Random(77)
     for seed in range(60):
         m = generate_random(2, 4, ["p", "q"], frozenset(), seed=seed)
         for domain in (KXA, XA):
-            args = _context(m, domain).eval_inputs
-            fast = make_evaluator(*args)
-            pure = make_pure_evaluator(*args)
-            for _ in range(8):
-                f = random_sentence(rng, m.props, m.agents, max_depth=4,
-                                    quantifier_prob=0.3,
-                                    allow_top=(seed % 3 == 0))
-                program = _program(m, f)
-                assert fast.run(*program) == pure.run(*program), (seed, f)
+            _evaluators_agree(m, domain, [
+                random_sentence(rng, m.props, m.agents, max_depth=4,
+                                quantifier_prob=0.3,
+                                allow_top=(seed % 3 == 0))
+                for _ in range(8)])
 
 
 @needs_c
+def test_backends_agree_past_former_limits():
+    # sizes the old compiled kernel refused: more than 1024 profiles, more
+    # than 16 agents, more than 1024 nodes and more than 64 quantifiers
+    rng = random.Random(5)
+    m = generate_random(2, 8, ["p", "q", "r", "s"], frozenset(), seed=7)
+    assert len(_closures_agree(m, KXA)) > 1024
+    _evaluators_agree(m, KXA, [
+        random_sentence(rng, m.props, m.agents, max_depth=3,
+                        quantifier_prob=0.3) for _ in range(6)])
+
+    m = generate_random(17, 3, ["p", "q"], frozenset(), seed=3)
+    _closures_agree(m, KXA)
+    _evaluators_agree(m, KXA, [
+        random_sentence(rng, m.props, m.agents, max_depth=4,
+                        quantifier_prob=0.3) for _ in range(20)])
+
+    m = generate_random(2, 4, ["p", "q"], frozenset(), seed=11)
+    big = _conjunction([random_sentence(rng, m.props, m.agents, max_depth=4,
+                                        quantifier_prob=0.4)
+                        for _ in range(300)])
+    code, _ = _program(m, big)
+    assert len(code[0]) > 1024 and code[-1] > 64
+    _evaluators_agree(m, KXA, [big])
+
+
 def test_closure_size_guard_routes_to_python():
-    # 65 propositions exceeds the compiled kernel's mask width
+    # 65 propositions exceed the native kernel's mask width, so the context
+    # runs the pure kernels
     props = [f"p{i}" for i in range(65)]
-    lang = [(1 << 65) - 1]
-    ptrue = [1] * 65
-    recs, layers = kernel.close_profiles(
-        1, lang, ptrue, [[1]], [[0]],
-        True, False, False, False, False, False, 10_000)
-    assert len(recs) == 130  # each proposition and its negation
+    m = AwarenessStructure(1, props, ["w"], {"w": props}, {"w": props},
+                           {1: [("w", "w")]}, {1: {"w": []}})
+    ctx = _context(m, QuantifierDomain(ops=frozenset({"not"})))
+    assert len(ctx.records) == 130  # each proposition and its negation
+    assert ctx.evaluator is ctx.pure
+    assert str(evaluate(m, "w", parse("p64 & forall #x . (#x | !#x)"),
+                        QuantifierDomain(ops=frozenset({"not"})))) == "True"
 
 
 def test_backend_reported():
     assert kernel.BACKEND in ("c", "python")
+    assert kernel.BACKEND_REASON
+
+
+def _fresh_run(tmp_path, code, path):
+    """Runs code against a copy of the package without its __pycache__/."""
+    shutil.copytree(PACKAGE, tmp_path / "awarecheck",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PATH=path)
+    code = "from awarecheck import kernel; print(kernel.__file__); " + code
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    lines = done.stdout.splitlines()
+    assert lines and lines[0].startswith(str(tmp_path)), done.stderr
+    return done.returncode, lines[1:]
+
+
+@needs_c
+def test_first_import_builds_the_native_kernel(tmp_path):
+    code, out = _fresh_run(tmp_path, "print(kernel.BACKEND)",
+                           os.environ["PATH"])
+    assert (code, out) == (0, ["c"])
+    assert list((tmp_path / "awarecheck" / "__pycache__")
+                .glob("_kernel.*.so"))
+
+
+def test_no_compiler_falls_back_to_pure(tmp_path):
+    code, out = _fresh_run(
+        tmp_path,
+        "import sys; from awarecheck.cli import main; "
+        "print(kernel.BACKEND); print(kernel.BACKEND_REASON); "
+        f"sys.exit(main(['eval', {os.path.abspath(BARCAN)!r}, 's', "
+        "'forall #x . X1 A1 #x']))", "")
+    assert code == 0
+    backend, reason, verdict = out
+    assert backend == "python"
+    assert "no C compiler" in reason and "cc" in reason
+    assert verdict == "True"
+    assert not list((tmp_path / "awarecheck" / "__pycache__")
+                    .glob("_kernel.*.so"))

@@ -1,9 +1,13 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import awarecheck
 from awarecheck.checker import evaluate
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import (AwarenessStructure, InvalidStructure,
@@ -265,3 +269,17 @@ def test_parse_model_class():
     assert parse_model_class("") == frozenset()
     with pytest.raises(ValueError):
         parse_model_class("rx")
+
+
+def test_generation_ignores_hash_seed():
+    # a relation's components must not come out in the hash order of its
+    # pairs, which changes with the hash seed
+    src = os.path.dirname(os.path.dirname(awarecheck.__file__))
+    outs = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outs.add(subprocess.run(
+            [sys.executable, "-m", "awarecheck.cli", "gen", "--agents", "1",
+             "--worlds", "3", "--props", "p,q", "--seed", "12"],
+            env=env, capture_output=True, check=True).stdout)
+    assert len(outs) == 1
