@@ -30,9 +30,7 @@ def timed(fn, budget):
 
 
 def closure_inputs(m):
-    ctx = _context(m, KXA)
-    return (ctx.nw, ctx.lang_masks, ctx.prop_true, ctx.succ, ctx.aware,
-            True, True, True, True, True, False, 4_000_000)
+    return _context(m, KXA).model + (KXA.opcodes, 4_000_000)
 
 
 def main():
@@ -66,7 +64,7 @@ def main():
     programs = [_program(models[0], f) for f in formulas]
 
     def run_programs(make):
-        evs = [make(*ctx.eval_inputs) for ctx in ctxs]
+        evs = [make(*ctx.model, ctx.profiles) for ctx in ctxs]
 
         def go():
             for ev in evs:

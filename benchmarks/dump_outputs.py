@@ -1,0 +1,67 @@
+"""Prints what the CLI answers on a fixed corpus, so that two checkouts can be
+compared byte for byte: `profiles --json` for both fixtures and for 200
+`gen --agents 2 --worlds 4 --props p,q,r --seed N` structures, each under
+KXA and XA with and without --include-top, then `eval --json` for 2000
+seeded random sentences (quantifiers, shadowed variables and `true`
+included) at random worlds of those structures.
+
+Run:  PYTHONPATH=src python3 benchmarks/dump_outputs.py OUT.txt
+      (then diff OUT.txt against the same run in another checkout)
+"""
+
+import contextlib
+import io
+import os
+import random
+import sys
+import tempfile
+
+from awarecheck import kernel
+from awarecheck.cli import main
+from awarecheck.fuzz import random_sentence
+from awarecheck.model import load_model
+from awarecheck.syntax import pretty
+
+VARIANTS = ([], ["--include-top"], ["--domain", "XA"],
+            ["--domain", "XA", "--include-top"])
+
+
+def call(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def dump(out, tmp):
+    paths = ["fixtures/M_barcan.json", "fixtures/M_unc.json"]
+    for n in range(200):
+        path = os.path.join(tmp, f"g{n}.json")
+        call("gen", "--agents", "2", "--worlds", "4", "--props", "p,q,r",
+             "--seed", str(n), "--out", path)
+        paths.append(path)
+    names = {path: os.path.basename(path) for path in paths}
+    for path in paths:
+        for variant in VARIANTS:
+            code, text = call("profiles", path, "--json", *variant)
+            text = text.replace(path, names[path])
+            out.write(f"{names[path]} {variant} {code} {text}")
+    rng = random.Random(2024)
+    for k in range(2000):
+        path = paths[k % 40] if k % 2 else rng.choice(paths)
+        m = load_model(path)
+        f = random_sentence(rng, m.props, m.agents, max_depth=4,
+                            quantifier_prob=0.3, allow_top=(k % 3 == 0))
+        world = rng.choice(m.worlds)
+        variant = VARIANTS[k % 4]
+        code, text = call("eval", path, world, pretty(f), "--json", *variant)
+        text = text.replace(path, names[path])
+        out.write(f"{names[path]} {world} {variant} {code} {text}")
+
+
+if __name__ == "__main__":
+    print(f"backend {kernel.BACKEND}: {kernel.BACKEND_REASON}",
+          file=sys.stderr)
+    with open(sys.argv[1], "w", encoding="utf-8") as out, \
+            tempfile.TemporaryDirectory() as tmp:
+        dump(out, tmp)

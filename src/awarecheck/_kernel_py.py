@@ -1,157 +1,80 @@
 """Pure-Python kernels: the profile closure and the formula-program
-interpreter.
+interpreter, over one node format, one operator step and one model encoding.
+
+A model is (n_worlds, prop_world_masks, prop_true, succ, aware): per
+proposition the worlds whose language contains it and the worlds where it is
+true, and per 0-based agent one successor and one awareness mask per world.
+
+A formula program is the one formula IR that both interpreters run: four
+parallel int columns (op, arg1, arg2, aux) plus the slot count, as
+checker._compile_program builds them.  Arguments are earlier nodes; aux is a
+proposition index, a quantifier slot or a 0-based agent.
 
 A profile is a pair (vocab mask over propositions, truth mask over worlds);
 the truth mask is meaningful only on the worlds whose language contains the
 vocabulary.  Closing the seed profiles (one per proposition) under the
-language's operators yields every (vocabulary, truth map) realizable by a
+domain's operators yields every (vocabulary, truth map) realizable by a
 quantifier-free sentence, which is what the quantifier clause ranges over.
-
-A formula program is the one formula IR that both interpreters run:
-parallel arrays (ops, arg1, arg2, aux, prop masks, used-slot masks) plus the
-slot count, as checker._compile_program builds them.  Arguments are earlier
-nodes; aux is a proposition index, a quantifier slot or a 0-based agent.
+A closure record is a program node with its profile in front, so the records
+up to k form a program whose node k is profile k's witness.
 
 These are the reference kernels: _kernel.c implements both natively, bit for
 bit the same; awarecheck.kernel uses these when it cannot build or load it.
 """
 
-# record ops
-OP_PROP = 0
-OP_TOP = 1
-OP_NOT = 2
-OP_AND = 3
-OP_K = 4
-OP_A = 5
-OP_X = 6
+from itertools import chain, count
 
-# program opcodes
 P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
 
 
-def close_profiles(n_worlds, lang_masks, prop_true_masks, succ_masks,
-                   aware_masks, use_not, use_and, use_k, use_a, use_x,
-                   include_top, max_profiles):
-    """Least fixpoint of the profile closure, with BFS layers.
-
-    Returns (records, layers) where records[i] = (vocab_mask, truth_mask, op,
-    arg1, arg2, aux) and layers[i] is the minimal witness depth (seeds are 0).
-    arg1/arg2 index earlier records; aux is a proposition index for OP_PROP
-    and an agent index (0-based) for OP_K/OP_A/OP_X.
-    """
-    n_props = len(prop_true_masks)
-    n_agents = len(succ_masks)
-    full = (1 << n_worlds) - 1
-
-    dom_cache = {0: full}
-
-    def dom(vocab):
-        d = dom_cache.get(vocab)
-        if d is None:
-            d = full
-            for w in range(n_worlds):
-                if vocab & ~lang_masks[w]:
-                    d &= ~(1 << w)
-            dom_cache[vocab] = d
-        return d
-
-    records = []
-    layers = []
-    index = {}
-
-    def add(vocab, truth, op, a1, a2, aux, layer):
-        key = (vocab, truth)
-        if key in index:
-            return
-        index[key] = len(records)
-        records.append((vocab, truth, op, a1, a2, aux))
-        layers.append(layer)
-
-    for j in range(n_props):
-        add(1 << j, prop_true_masks[j], OP_PROP, -1, -1, j, 0)
-    if include_top:
-        add(0, full, OP_TOP, -1, -1, -1, 0)
-
-    layer = 0
-    frontier = 0
-    while True:
-        layer += 1
-        known = len(records)
-        for i1 in range(frontier, known):
-            vocab, truth = records[i1][0], records[i1][1]
-            d = dom(vocab)
-            if use_not:
-                add(vocab, d & ~truth, OP_NOT, i1, -1, -1, layer)
-            if use_k or use_x:
-                for ai in range(n_agents):
-                    succ = succ_masks[ai]
-                    gk = 0
-                    for w in range(n_worlds):
-                        if (d >> w) & 1 and not succ[w] & ~truth:
-                            gk |= 1 << w
-                    if use_k:
-                        add(vocab, gk, OP_K, i1, -1, ai, layer)
-                    if use_x:
-                        aware = aware_masks[ai]
-                        gx = 0
-                        for w in range(n_worlds):
-                            if (gk >> w) & 1 and not vocab & ~aware[w]:
-                                gx |= 1 << w
-                        add(vocab, gx, OP_X, i1, -1, ai, layer)
-            if use_a:
-                for ai in range(n_agents):
-                    aware = aware_masks[ai]
-                    ga = 0
-                    for w in range(n_worlds):
-                        if (d >> w) & 1 and not vocab & ~aware[w]:
-                            ga |= 1 << w
-                    add(vocab, ga, OP_A, i1, -1, ai, layer)
-        if use_and:
-            # new conjunctions need at least one argument from the last layer
-            for i1 in range(frontier, known):
-                v1, t1 = records[i1][0], records[i1][1]
-                for i2 in range(known):
-                    rec2 = records[i2]
-                    add(v1 | rec2[0], t1 & rec2[1], OP_AND, i1, i2, -1, layer)
-        if len(records) == known:
-            return records, layers
-        if len(records) > max_profiles:
-            raise RuntimeError(
-                f"profile closure exceeded {max_profiles} profiles")
-        frontier = known
-
-
-class _Eval:
-    """Runs formula programs against one (model, domain) pair; the pure
-    twin of the native interpreter, with the same results bit for bit.
+class _Model:
+    """A model with the profiles of a quantifier domain: its domain function,
+    its operator step, and the interpreter that runs formula programs on it,
+    the pure twin of the native one, with the same results bit for bit.
 
     env[s] is the index of the profile bound to slot s.  Node values are
     memoized per loaded program under the profiles bound to the slots they
     use, so a node that does not use a quantifier's slot is evaluated once,
     not once per profile."""
 
-    def __init__(self, n_worlds, prop_world_masks, prop_true, succ_masks,
-                 aware_masks, profiles):
-        self.n_worlds = n_worlds
-        self.full = (1 << n_worlds) - 1
+    def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware,
+                 profiles=()):
         self.pwm = prop_world_masks
         self.ptrue = prop_true
-        self.succ = succ_masks
-        self.aware = aware_masks
+        self.succ = succ
+        self.aware = aware
         self.profiles = profiles
-        self.dom_cache = {0: self.full}
+        self.dom_cache = {0: (1 << n_worlds) - 1}
         self.program = None
 
     def dom(self, vocab):
-        """Worlds whose language contains the vocabulary."""
+        """Worlds whose language contains the vocabulary (all for 0)."""
         d = self.dom_cache.get(vocab)
         if d is None:
-            d = self.full
+            d = self.dom_cache[0]
             for j, worlds in enumerate(self.pwm):
                 if (vocab >> j) & 1:
                     d &= worlds
             self.dom_cache[vocab] = d
         return d
+
+    def step(self, code, agent, x):
+        """(vocab mask, truth mask) of P_NOT, P_K, P_A or P_X applied to the
+        profile x; agent is 0-based.  Both pure kernels conjoin inline: a
+        call per conjunction probe would double the closure's time."""
+        v, t = x
+        g = self.dom(v)
+        if code == P_NOT:
+            return v, g & ~t
+        if code != P_K:  # A and X: the agent is aware of the vocabulary
+            for w, vocab in enumerate(self.aware[agent]):
+                if v & ~vocab:
+                    g &= ~(1 << w)
+        if code != P_A:  # K and X: the sentence holds at every successor
+            for w, succ in enumerate(self.succ[agent]):
+                if succ & ~t:
+                    g &= ~(1 << w)
+        return v, g
 
     def run(self, program, root):
         """(vocab mask, truth mask) over all worlds of a program's root.  The
@@ -159,10 +82,23 @@ class _Eval:
         the same program until another one runs."""
         if program is not self.program:
             self.program = program
-            (self.op, self.a1, self.a2, self.aux, self.props, self.uses,
-             nslots) = program
-            self.used = [tuple(s for s in range(nslots) if (u >> s) & 1)
-                         if u else () for u in self.uses]
+            self.op, self.a1, self.a2, self.aux, nslots = program
+            # per node, as in _kernel.c, one bitset of the propositions it
+            # mentions and, above them, the slots it uses
+            top = len(self.pwm)
+            self.sets = sets = []
+            for code, x, y, z in zip(self.op, self.a1, self.a2, self.aux):
+                if code > P_VAR:
+                    b = sets[x] | sets[y] if code == P_AND else sets[x]
+                    if code == P_FORALL:
+                        b &= ~(1 << (top + z))
+                elif code == P_PROP:
+                    b = 1 << z
+                else:
+                    b = 1 << (top + z) if code == P_VAR else 0
+                sets.append(b)
+            self.used = [tuple(s for s in range(nslots) if (b >> top + s) & 1)
+                         if b >> top else () for b in sets]
             self.env = [0] * nslots
             self.memo = {}
         return self.node(root)
@@ -180,19 +116,16 @@ class _Eval:
             j = self.aux[i]
             out = (1 << j, self.ptrue[j])
         elif code == P_TOP:
-            out = (0, self.full)
+            out = (0, self.dom(0))
         elif code == P_VAR:
             out = self.profiles[self.env[self.aux[i]]]
-        elif code == P_NOT:
-            v, t = self.node(self.a1[i])
-            out = (v, self.dom(v) & ~t)
         elif code == P_AND:
             v, t = self.node(self.a1[i])
             v2, t2 = self.node(self.a2[i])
             out = (v | v2, t & t2)
         elif code == P_FORALL:
             slot, body = self.aux[i], self.a1[i]
-            veff = self.props[i]
+            veff = self.sets[i] & ((1 << len(self.pwm)) - 1)
             for s in used:
                 veff |= self.profiles[self.env[s]][0]
             result = self.dom(veff)
@@ -202,19 +135,67 @@ class _Eval:
                 self.env[slot] = k
                 result &= ~(self.dom(pv) & ~self.node(body)[1])
             out = (veff, result)
-        else:  # P_K, P_A, P_X
-            v, t = self.node(self.a1[i])
-            succ, aware = self.succ[self.aux[i]], self.aware[self.aux[i]]
-            g = self.dom(v)
-            for w in range(self.n_worlds):
-                if (code != P_A and succ[w] & ~t) or \
-                        (code != P_K and v & ~aware[w]):
-                    g &= ~(1 << w)
-            out = (v, g)
+        else:  # P_NOT, P_K, P_A, P_X
+            out = self.step(code, self.aux[i], self.node(self.a1[i]))
         self.memo[key] = out
         return out
 
 
-# make_evaluator(n_worlds, prop_world_masks, prop_true, succ_masks,
-#                aware_masks, profiles), as in awarecheck.kernel
-make_evaluator = _Eval
+def close_profiles(n_worlds, prop_world_masks, prop_true, succ, aware, ops,
+                   max_profiles):
+    """Least fixpoint of the profile closure under the opcodes set in the
+    bitmask ops (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), with BFS layers.
+
+    Returns (records, layers) where records[i] = (vocab_mask, truth_mask, op,
+    arg1, arg2, aux) and layers[i] is the minimal witness depth (seeds are 0).
+    (op, arg1, arg2, aux) is a program node over earlier records.
+    """
+    model = _Model(n_worlds, prop_world_masks, prop_true, succ, aware)
+    step = model.step
+    # per new record: NOT, then K and X per agent, then A per agent
+    agents = range(len(succ))
+    unary = [(P_NOT, -1)]
+    unary += [(code, ai) for ai in agents for code in (P_K, P_X)]
+    unary += [(P_A, ai) for ai in agents]
+    unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
+    records = []
+    layers = []
+    index = {}
+
+    def add(profile, op, a1, a2, aux, layer):
+        if profile not in index:
+            index[profile] = len(records)
+            records.append((*profile, op, a1, a2, aux))
+            layers.append(layer)
+
+    for j, truth in enumerate(prop_true):
+        add((1 << j, truth), P_PROP, -1, -1, j, 0)
+    if (ops >> P_TOP) & 1:
+        add((0, model.dom(0)), P_TOP, -1, -1, -1, 0)
+
+    frontier = 0
+    for layer in count(1):
+        known = len(records)
+        for i in range(frontier, known):
+            x = records[i][:2]
+            for code, ai in unary:
+                add(step(code, ai, x), code, i, -1, ai, layer)
+        if (ops >> P_AND) & 1:
+            # new conjunctions need an argument from the last layer; a probe
+            # (i, i2) with frontier <= i2 <= i repeats (i2, i) or record i
+            for i in range(frontier, known):
+                v, t = records[i][:2]
+                for i2 in chain(range(frontier), range(i + 1, known)):
+                    rec2 = records[i2]
+                    add((v | rec2[0], t & rec2[1]), P_AND, i, i2, -1, layer)
+        if len(records) == known:
+            return records, layers
+        if len(records) > max_profiles:
+            raise RuntimeError(
+                f"profile closure exceeded {max_profiles} profiles")
+        frontier = known
+
+
+# make_evaluator(n_worlds, prop_world_masks, prop_true, succ, aware,
+#                profiles), as in awarecheck.kernel
+make_evaluator = _Model

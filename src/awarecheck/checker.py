@@ -15,12 +15,12 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import _kernel_py
 from ._kernel_py import (P_A, P_AND, P_FORALL, P_K, P_NOT, P_PROP, P_TOP,
                          P_VAR, P_X)
-from .kernel import (BACKEND, MASK_BITS, OP_A, OP_AND, OP_K, OP_NOT, OP_PROP,
-                     OP_TOP, OP_X, close_profiles, make_evaluator)
+from .kernel import BACKEND, MASK_BITS, close_profiles, make_evaluator
 from .model import AwarenessStructure
 from .syntax import (TOP, A, And, Forall, K, Not, Prop, Top, Var, X,
                      free_vars, is_quantifier_free, vocabulary)
@@ -35,7 +35,9 @@ __all__ = [
     "OracleBudgetExceeded",
 ]
 
-_ALLOWED_OPS = frozenset({"not", "and", "K", "A", "X"})
+_OPCODES = {"not": P_NOT, "and": P_AND, "K": P_K, "A": P_A, "X": P_X}
+_ALLOWED_OPS = frozenset(_OPCODES)
+_MODAL = {P_K: K, P_A: A, P_X: X}
 
 
 class Truth(Enum):
@@ -68,6 +70,13 @@ class QuantifierDomain:
         if not ops <= _ALLOWED_OPS:
             raise ValueError(f"unknown operators: {sorted(ops - _ALLOWED_OPS)}")
 
+    @cached_property
+    def opcodes(self):
+        """The profile closure's opcode mask: a bit per program opcode of
+        the domain, P_TOP's with include_top."""
+        return sum(1 << _OPCODES[op] for op in self.ops) | \
+            self.include_top << P_TOP
+
 
 KXA = QuantifierDomain()
 XA = QuantifierDomain(ops=frozenset({"not", "and", "A", "X"}))
@@ -93,57 +102,37 @@ class _Context:
     profile fixpoint, and the evaluators that run formula programs."""
 
     def __init__(self, m, domain):
-        self.m = m
-        self.domain = domain
         self.worlds = m.worlds
         self.props = m.props
-        self.widx = {w: i for i, w in enumerate(m.worlds)}
-        self.pidx = {p: j for j, p in enumerate(m.props)}
-        nw = len(m.worlds)
-        self.nw = nw
-        self.lang_masks = [self._pmask(m.lang[w]) for w in m.worlds]
-        self.prop_world_masks = [
-            self._wmask([w for w in m.worlds if p in m.lang[w]])
-            for p in m.props
-        ]
-        self.prop_true = [self._wmask([w for w in m.worlds if p in m.val[w]])
-                          for p in m.props]
-        # successor and awareness masks per world, per 0-based agent
+        self.widx = widx = {w: i for i, w in enumerate(m.worlds)}
+        pidx = {p: j for j, p in enumerate(m.props)}
+        self.nw = nw = len(m.worlds)
+        # the one model encoding that every kernel takes (see _kernel_py)
         self.succ = [[0] * nw for _ in range(m.agents)]
         for i in range(1, m.agents + 1):
             for (s, t) in m.rel[i]:
-                self.succ[i - 1][self.widx[s]] |= 1 << self.widx[t]
-        self.aware = [[self._pmask(m.aware[i][w]) for w in m.worlds]
-                      for i in range(1, m.agents + 1)]
+                self.succ[i - 1][widx[s]] |= 1 << widx[t]
+        self.model = (
+            nw,
+            [sum(1 << widx[w] for w in m.worlds if p in m.lang[w])
+             for p in m.props],
+            [sum(1 << widx[w] for w in m.worlds if p in m.val[w])
+             for p in m.props],
+            self.succ,
+            [[sum(1 << pidx[p] for p in m.aware[i][w]) for w in m.worlds]
+             for i in range(1, m.agents + 1)])
         # one backend per context; the pure one also serves forall_witness
         fits = nw <= MASK_BITS and len(m.props) <= MASK_BITS
         close = close_profiles if fits else _kernel_py.close_profiles
-        ops = domain.ops
-        self.records, self.layers = close(
-            nw, self.lang_masks, self.prop_true, self.succ, self.aware,
-            "not" in ops, "and" in ops, "K" in ops, "A" in ops, "X" in ops,
-            domain.include_top, 4_000_000)
+        self.records, self.layers = close(*self.model, domain.opcodes,
+                                          4_000_000)
         self.profiles = [(rec[0], rec[1]) for rec in self.records]
         self.stab_depth = max(self.layers, default=0)
         self._witnesses = {}
-        self.eval_inputs = (nw, self.prop_world_masks, self.prop_true,
-                            self.succ, self.aware, self.profiles)
-        self.pure = _kernel_py.make_evaluator(*self.eval_inputs)
-        self.evaluator = make_evaluator(*self.eval_inputs) \
+        self.pure = _kernel_py.make_evaluator(*self.model, self.profiles)
+        self.evaluator = make_evaluator(*self.model, self.profiles) \
             if fits and BACKEND == "c" else self.pure
         self.dom = self.pure.dom
-
-    def _pmask(self, props):
-        mask = 0
-        for p in props:
-            mask |= 1 << self.pidx[p]
-        return mask
-
-    def _wmask(self, worlds):
-        mask = 0
-        for w in worlds:
-            mask |= 1 << self.widx[w]
-        return mask
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
@@ -157,23 +146,17 @@ class _Context:
     def witness_formula(self, idx):
         got = self._witnesses.get(idx)
         if got is None:
-            vocab, truth, op, a1, a2, aux = self.records[idx]
-            if op == OP_PROP:
+            op, a1, a2, aux = self.records[idx][2:]
+            if op == P_PROP:
                 got = Prop(self.props[aux])
-            elif op == OP_TOP:
+            elif op == P_TOP:
                 got = TOP
-            elif op == OP_NOT:
+            elif op == P_NOT:
                 got = Not(self.witness_formula(a1))
-            elif op == OP_AND:
+            elif op == P_AND:
                 got = And(self.witness_formula(a1), self.witness_formula(a2))
-            elif op == OP_K:
-                got = K(aux + 1, self.witness_formula(a1))
-            elif op == OP_A:
-                got = A(aux + 1, self.witness_formula(a1))
-            elif op == OP_X:
-                got = X(aux + 1, self.witness_formula(a1))
             else:
-                raise AssertionError(op)
+                got = _MODAL[op](aux + 1, self.witness_formula(a1))
             self._witnesses[idx] = got
         return got
 
@@ -211,74 +194,54 @@ def _program(m, f):
 
 def _compile_program(f, pidx):
     """Flattens a sentence into (code, root, lowest agent, highest agent):
-    code is the program in the evaluators' format (see _kernel_py) with
-    array.array columns, root the index of its last node, and the agent
-    range is (1, 0) for a sentence without modal operators.  Bound variables
-    become numbered slots; shadowing allocates a fresh slot.  Raises
-    ValueError for free variables and for propositions missing from pidx."""
-    ops, a1, a2, aux, props, uses = [], [], [], [], [], []
-    slots = {}
+    code is the program in the evaluators' format (see _kernel_py), four
+    array('i') columns plus the slot count, root the index of its last
+    node, and the agent range is (1, 0) for a sentence without modal
+    operators.  Bound variables become numbered slots; shadowing allocates a
+    fresh slot.  Raises ValueError for free variables and for propositions
+    missing from pidx."""
+    cols = ops, a1, a2, aux = [], [], [], []
     nslots = 0
     agents = set()
 
-    def push(o, x, y, z, pm, us):
-        ops.append(o)
-        a1.append(x)
-        a2.append(y)
-        aux.append(z)
-        props.append(pm)
-        uses.append(us)
+    def push(*node):
+        for col, x in zip(cols, node):
+            col.append(x)
         return len(ops) - 1
 
-    def go(g):
+    def go(g, slots):
         nonlocal nslots
         if isinstance(g, Prop):
             if g.name not in pidx:
                 raise ValueError(f"formula mentions unknown propositions "
                                  f"{sorted(vocabulary(f) - set(pidx))}")
-            j = pidx[g.name]
-            return push(P_PROP, -1, -1, j, 1 << j, 0)
+            return push(P_PROP, -1, -1, pidx[g.name])
         if isinstance(g, Top):
-            return push(P_TOP, -1, -1, -1, 0, 0)
+            return push(P_TOP, -1, -1, -1)
         if isinstance(g, Var):
             if g.name not in slots:
                 raise ValueError(f"not a sentence; free variables "
                                  f"{sorted(free_vars(f))}")
-            s = slots[g.name]
-            return push(P_VAR, -1, -1, s, 0, 1 << s)
+            return push(P_VAR, -1, -1, slots[g.name])
         if isinstance(g, Not):
-            b = go(g.body)
-            return push(P_NOT, b, -1, -1, props[b], uses[b])
+            return push(P_NOT, go(g.body, slots), -1, -1)
         if isinstance(g, And):
-            left = go(g.left)
-            right = go(g.right)
-            return push(P_AND, left, right, -1, props[left] | props[right],
-                        uses[left] | uses[right])
+            left = go(g.left, slots)
+            return push(P_AND, left, go(g.right, slots), -1)
         if isinstance(g, (K, A, X)):
             agents.add(g.agent)
-            b = go(g.body)
             code = P_K if isinstance(g, K) else \
                 P_A if isinstance(g, A) else P_X
-            return push(code, b, -1, g.agent - 1, props[b], uses[b])
+            return push(code, go(g.body, slots), -1, g.agent - 1)
         if isinstance(g, Forall):
             s = nslots
             nslots += 1
-            old = slots.get(g.var)
-            slots[g.var] = s
-            b = go(g.body)
-            if old is None:
-                del slots[g.var]
-            else:
-                slots[g.var] = old
-            return push(P_FORALL, b, -1, s, props[b], uses[b] & ~(1 << s))
+            return push(P_FORALL, go(g.body, {**slots, g.var: s}), -1, s)
         raise TypeError(f"not a formula: {g!r}")
 
-    root = go(f)
-    # wider masks stay lists, which the native interpreter never reads
-    code = tuple(array("i", col) for col in (ops, a1, a2, aux)) + tuple(
-        col if max(col) >> 64 else array("Q", col) for col in (props, uses))
-    return (code + (nslots,), root,
-            min(agents, default=1), max(agents, default=0))
+    root = go(f, {})
+    code = tuple(array("i", col) for col in cols) + (nslots,)
+    return code, root, min(agents, default=1), max(agents, default=0)
 
 
 def _sentence_masks(m, f, domain):

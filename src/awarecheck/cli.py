@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 = True / ok / accepted / valid, 1 = False / violation /
-counterexample / rejected, 2 = load or parse error (a formula nested too
-deeply to handle included), 3 = Undefined.
+counterexample / rejected, 2 = error: a malformed model or proof script, a
+formula that does not parse or is nested too deeply to handle, or a profile
+closure past its size limit or out of memory, 3 = Undefined.
 """
 
 import argparse
@@ -220,7 +221,8 @@ def cmd_prove(args):
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        script = proof_script_from_dict(data, data.get("agents"))
+        script = proof_script_from_dict(
+            data, data.get("agents") if isinstance(data, dict) else None)
     except (OSError, json.JSONDecodeError, ValueError, ParseError) as exc:
         return _fail(f"cannot load proof script: {exc}")
     try:
@@ -408,6 +410,10 @@ def main(argv=None):
     except RecursionError:
         # a formula too deep for the recursive code past the parser
         code = _fail("formula nested too deeply")
+    except MemoryError as exc:
+        code = _fail(f"out of memory: {exc}")
+    except RuntimeError as exc:  # the profile closure's size limit
+        code = _fail(str(exc))
     return code
 
 

@@ -600,19 +600,35 @@ def model_to_dict(m):
 
 
 def model_from_dict(d):
+    """The structure a JSON object describes; InvalidStructure for any
+    malformed shape, as for any violated constraint."""
+    def names(x, pair=False):
+        if not isinstance(x, list) or (pair and len(x) != 2) or \
+                not all(isinstance(n, str) for n in x):
+            raise TypeError(f"expected {'a pair' if pair else 'a list'} of "
+                            f"names, got {x!r}")
+        return x
+
+    def table(x):
+        if not isinstance(x, dict):
+            raise TypeError(f"expected an object, got {x!r}")
+        return x
+
     try:
         agents = int(d["agents"])
-        props = [str(p) for p in d["props"]]
+        props = [str(p) for p in names(d["props"])]
         entries = d["worlds"]
         worlds = [str(e["id"]) for e in entries]
-        lang = {str(e["id"]): e["lang"] for e in entries}
-        val = {str(e["id"]): e["true"] for e in entries}
-        aware = {i: {str(e["id"]): e.get("aware", {}).get(str(i), [])
+        lang = {str(e["id"]): names(e["lang"]) for e in entries}
+        val = {str(e["id"]): names(e["true"]) for e in entries}
+        aware = {i: {str(e["id"]): names(table(e.get("aware", {}))
+                                         .get(str(i), []))
                      for e in entries}
                  for i in range(1, agents + 1)}
-        rel = {i: [tuple(p) for p in d.get("relations", {}).get(str(i), [])]
+        relations = table(d.get("relations", {}))
+        rel = {i: [tuple(names(p, True)) for p in relations.get(str(i), [])]
                for i in range(1, agents + 1)}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStructure(f"malformed model JSON: {exc}") from exc
     return AwarenessStructure(agents, props, worlds, lang, val, rel, aware,
                               check=True)

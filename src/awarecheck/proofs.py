@@ -553,16 +553,30 @@ class ProofOutcome:
         return f"rejected at line {self.line}: {self.reason}"
 
 
+_JUST_TYPES = {"axiom": str, "rule": str, "from": list, "agent": int,
+               "q": str, "x": str}
+
+
 def proof_script_from_dict(d, n_agents=None):
-    try:
-        system = d["system"]
-        raw_lines = d["lines"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed proof script: {exc}") from exc
+    """The proof script a JSON object describes; ValueError for any
+    malformed shape, ParseError for a formula that does not parse."""
+    if not isinstance(d, dict) or not isinstance(d.get("system"), str) or \
+            not isinstance(d.get("lines"), list):
+        raise ValueError("malformed proof script: expected an object with a "
+                         "system name and a list of lines")
+    if n_agents is not None and not isinstance(n_agents, int):
+        raise ValueError(f"malformed proof script: agents {n_agents!r}")
     lines = []
-    for entry in raw_lines:
+    for no, entry in enumerate(d["lines"], start=1):
+        just = entry.get("just", {}) if isinstance(entry, dict) else None
+        if not isinstance(just, dict) or \
+                not isinstance(entry.get("formula"), str) or \
+                any(just.get(key) is not None and
+                    not isinstance(just[key], kind)
+                    for key, kind in _JUST_TYPES.items()):
+            raise ValueError(f"malformed proof script: line {no} needs a "
+                             "formula string and a well-typed justification")
         formula = parse(entry["formula"], n_agents)
-        just = entry.get("just", {})
         if "axiom" in just:
             lines.append(ProofLine(formula, axiom=just["axiom"]))
         elif "rule" in just:
@@ -572,7 +586,7 @@ def proof_script_from_dict(d, n_agents=None):
                 agent=just.get("agent"), q=just.get("q"), x=just.get("x")))
         else:
             lines.append(ProofLine(formula))
-    return ProofScript(system, tuple(lines))
+    return ProofScript(d["system"], tuple(lines))
 
 
 def check_proof(script, system=None, include_top=False):

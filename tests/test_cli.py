@@ -45,6 +45,39 @@ def test_eval_error_exits(capsys):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_malformed_model_is_an_error(tmp_path, capsys):
+    # a shape error in the model JSON is exit 2, never 1 ("False")
+    with open(BARCAN, encoding="utf-8") as fh:
+        good = json.load(fh)
+    bad = [
+        lambda d: d["worlds"][0].update(aware=["p"]),
+        lambda d: d["worlds"][0].update(lang=5),
+        lambda d: d.update(relations=[]),
+        lambda d: d.update(agents="x"),
+    ]
+    for k, spoil in enumerate(bad):
+        d = json.loads(json.dumps(good))
+        spoil(d)
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "eval", str(path), "s", "p")
+        assert code == 2 and out == "" and err.startswith("error:"), k
+
+
+def test_closure_limits_are_errors(capsys, monkeypatch):
+    # past its size limit or out of memory the closure raises; that is
+    # exit 2, never 1 ("False")
+    from awarecheck import checker
+    for exc in (RuntimeError("profile closure exceeded 4000000 profiles"),
+                MemoryError("profile closure")):
+        def close(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(checker, "close_profiles", close)
+        code, out, err = run(capsys, "eval", BARCAN, "s", "p")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "profile closure" in err
+
+
 def test_eval_witness_closed_loop(capsys):
     # the failing quantifier sits under X1; the witness surfaces anyway
     code, out, _ = run(capsys, "eval", BARCAN, "s",
@@ -82,12 +115,39 @@ def test_valid_command(capsys):
     assert code == 1 and out.startswith("counterexample: s")
 
 
+def _profile(vocab, truth, witness):
+    return {"vocab": vocab, "truth": truth, "witness": witness}
+
+
 def test_profiles_command(capsys):
+    # the whole list in discovery order: the order decides which witness
+    # eval prints
     code, out, _ = run(capsys, "profiles", BARCAN, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert {"vocab": ["p"], "truth": {"s": True, "t": True}, "witness": "p"} \
-        in payload["profiles"]
+    assert payload["stabilization_depth"] == 2
+    assert payload["profiles"] == [
+        _profile(["p"], {"s": True, "t": True}, "p"),
+        _profile(["q"], {"t": True}, "q"),
+        _profile(["p"], {"s": False, "t": False}, "!p"),
+        _profile(["q"], {"t": False}, "!q"),
+        _profile(["p", "q"], {"t": True}, "p & q"),
+        _profile(["p", "q"], {"t": False}, "!(p & q)"),
+    ]
+    code, out, _ = run(capsys, "profiles", UNC, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["stabilization_depth"] == 3
+    assert payload["profiles"] == [
+        _profile(["p"], {"s": True, "t1": True, "t2": True}, "p"),
+        _profile(["q"], {"t2": True}, "q"),
+        _profile(["p"], {"s": False, "t1": False, "t2": False}, "!p"),
+        _profile(["q"], {"t2": False}, "!q"),
+        _profile(["p", "q"], {"t2": True}, "p & q"),
+        _profile(["p"], {"s": False, "t1": True, "t2": True}, "K1 !p"),
+        _profile(["p", "q"], {"t2": False}, "!(p & q)"),
+        _profile(["p"], {"s": True, "t1": False, "t2": False}, "!K1 !p"),
+    ]
 
 
 def test_props_command(capsys):
@@ -150,6 +210,17 @@ def test_prove_command(capsys):
     code, out, _ = run(capsys, "prove",
                        "fixtures/proofs/mutant_wrong_rule_genk.json")
     assert code == 1 and "rejected at line 2" in out
+
+
+def test_malformed_proof_script_is_an_error(tmp_path, capsys):
+    with open("fixtures/proofs/genx_demo.json", encoding="utf-8") as fh:
+        good = json.load(fh)
+    for k, line in enumerate(({"just": {"axiom": "Prop"}}, 5)):
+        d = dict(good, lines=good["lines"] + [line])
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "prove", str(path))
+        assert code == 2 and out == "" and err.startswith("error:"), k
 
 
 def test_swap_test_command(capsys):

@@ -24,11 +24,7 @@ BARCAN = os.path.join(os.path.dirname(__file__), "..", "fixtures",
 
 
 def _kernel_inputs(m, domain):
-    ctx = _context(m, domain)
-    ops = domain.ops
-    return (ctx.nw, ctx.lang_masks, ctx.prop_true, ctx.succ, ctx.aware,
-            "not" in ops, "and" in ops, "K" in ops, "A" in ops, "X" in ops,
-            domain.include_top, 4_000_000)
+    return _context(m, domain).model + (domain.opcodes, 4_000_000)
 
 
 def _closures_agree(m, domain):
@@ -41,9 +37,9 @@ def _closures_agree(m, domain):
 
 
 def _evaluators_agree(m, domain, formulas):
-    args = _context(m, domain).eval_inputs
-    native = kernel.make_evaluator(*args)
-    pure = make_pure_evaluator(*args)
+    ctx = _context(m, domain)
+    native = kernel.make_evaluator(*ctx.model, ctx.profiles)
+    pure = make_pure_evaluator(*ctx.model, ctx.profiles)
     for f in formulas:
         program = _program(m, f)
         assert native.run(*program) == pure.run(*program), f
@@ -124,10 +120,14 @@ def test_backend_reported():
     assert kernel.BACKEND_REASON
 
 
-def _fresh_run(tmp_path, code, path):
-    """Runs code against a copy of the package without its __pycache__/."""
+def _fresh_run(tmp_path, code, path, planted=()):
+    """Runs code against a copy of the package without its __pycache__/,
+    into which the planted files are put first."""
     shutil.copytree(PACKAGE, tmp_path / "awarecheck",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    for name in planted:
+        (tmp_path / "awarecheck" / "__pycache__").mkdir(exist_ok=True)
+        (tmp_path / "awarecheck" / "__pycache__" / name).write_bytes(b"")
     env = dict(os.environ, PYTHONPATH=str(tmp_path), PATH=path)
     code = "from awarecheck import kernel; print(kernel.__file__); " + code
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
@@ -140,11 +140,22 @@ def _fresh_run(tmp_path, code, path):
 
 @needs_c
 def test_first_import_builds_the_native_kernel(tmp_path):
+    # a build removes the libraries built from earlier sources
     code, out = _fresh_run(tmp_path, "print(kernel.BACKEND)",
-                           os.environ["PATH"])
+                           os.environ["PATH"], ["_kernel.00000000.so"])
     assert (code, out) == (0, ["c"])
-    assert list((tmp_path / "awarecheck" / "__pycache__")
-                .glob("_kernel.*.so"))
+    built = [lib.name for lib in (tmp_path / "awarecheck" / "__pycache__")
+             .glob("_kernel.*.so")]
+    assert len(built) == 1 and built != ["_kernel.00000000.so"]
+
+
+@needs_c
+def test_native_kernel_compiles_cleanly(tmp_path):
+    done = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-O2",
+         "-shared", "-fPIC", "-o", str(tmp_path / "k.so"),
+         os.path.join(PACKAGE, "_kernel.c")], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_compiler_falls_back_to_pure(tmp_path):

@@ -261,6 +261,24 @@ def test_loader_reports_first_violation():
     d3["relations"]["1"].append(["s", "nowhere"])
     with pytest.raises(InvalidStructure, match="unknown world"):
         model_from_dict(d3)
+    # shape errors are reported the same way, never as another exception
+    spoilers = [
+        lambda d: d["worlds"][0].update(aware=["p"]),
+        lambda d: d["worlds"][0].update(lang=5),
+        lambda d: d["worlds"][0].update(lang="p"),
+        lambda d: d.update(relations=[]),
+        lambda d: d.update(agents="x"),
+        lambda d: d["relations"]["1"].append(["s", "t1", "t2"]),
+        lambda d: d["worlds"].append(["s"]),
+        lambda d: d.pop("props"),
+    ]
+    for spoil in spoilers:
+        d = model_to_dict(unc_model())
+        spoil(d)
+        with pytest.raises(InvalidStructure, match="malformed"):
+            model_from_dict(d)
+    with pytest.raises(InvalidStructure, match="malformed"):
+        model_from_dict(5)
 
 
 def test_parse_model_class():
