@@ -1,5 +1,6 @@
 """Pure-Python kernels: the profile closure and the formula-program
-interpreter, over one node format, one operator step and one model encoding.
+interpreter, over one node format, one operator step and one model encoding,
+all held by one Kernel per structure.
 
 A model is (n_worlds, prop_world_masks, prop_true, succ, aware): per
 proposition the worlds whose language contains it and the worlds where it is
@@ -19,7 +20,8 @@ A closure record is a program node with its profile in front, so the records
 up to k form a program whose node k is profile k's witness.
 
 These are the reference kernels: _kernel.c implements both natively, bit for
-bit the same; awarecheck.kernel uses these when it cannot build or load it.
+bit the same, and kernel.NativeKernel runs it; the checker uses Kernel when
+the native kernel is not built or a structure's masks do not fit it.
 """
 
 from itertools import chain, count
@@ -27,23 +29,25 @@ from itertools import chain, count
 P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
 
 
-class _Model:
-    """A model with the profiles of a quantifier domain: its domain function,
-    its operator step, and the interpreter that runs formula programs on it,
-    the pure twin of the native one, with the same results bit for bit.
+class Kernel:
+    """A model's encoding, its domain function and operator step, the
+    profile closure, run once, whose profiles become the quantifier's
+    domain, and the interpreter over them, split into load() and node() for
+    the checker's witness search; the same results, bit for bit, as the
+    native kernels.
 
     env[s] is the index of the profile bound to slot s.  Node values are
     memoized per loaded program under the profiles bound to the slots they
     use, so a node that does not use a quantifier's slot is evaluated once,
     not once per profile."""
 
-    def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware,
-                 profiles=()):
+    def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
+        self.n_worlds = n_worlds
         self.pwm = prop_world_masks
         self.ptrue = prop_true
         self.succ = succ
         self.aware = aware
-        self.profiles = profiles
+        self.profiles = []
         self.dom_cache = {0: (1 << n_worlds) - 1}
         self.program = None
 
@@ -76,10 +80,68 @@ class _Model:
                     g &= ~(1 << w)
         return v, g
 
+    def close(self, ops, max_profiles):
+        """Least fixpoint of the profile closure under the opcodes set in the
+        bitmask ops (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), with BFS
+        layers; its profiles become the quantifier's domain.  Returns (records, layers) where records[i] = (vocab_mask,
+        truth_mask, op, arg1, arg2, aux) and layers[i] is the minimal
+        witness depth (seeds are 0).  (op, arg1, arg2, aux) is a program
+        node over earlier records.
+        """
+        step = self.step
+        # per new record: NOT, then K and X per agent, then A per agent
+        agents = range(len(self.succ))
+        unary = [(P_NOT, -1)]
+        unary += [(code, ai) for ai in agents for code in (P_K, P_X)]
+        unary += [(P_A, ai) for ai in agents]
+        unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
+        records = []
+        layers = []
+        index = {}
+
+        def add(profile, op, a1, a2, aux, layer):
+            if profile not in index:
+                index[profile] = len(records)
+                records.append((*profile, op, a1, a2, aux))
+                layers.append(layer)
+
+        for j, truth in enumerate(self.ptrue):
+            add((1 << j, truth), P_PROP, -1, -1, j, 0)
+        if (ops >> P_TOP) & 1:
+            add((0, self.dom(0)), P_TOP, -1, -1, -1, 0)
+
+        frontier = 0
+        for layer in count(1):
+            known = len(records)
+            for i in range(frontier, known):
+                x = records[i][:2]
+                for code, ai in unary:
+                    add(step(code, ai, x), code, i, -1, ai, layer)
+            if (ops >> P_AND) & 1:
+                # new conjunctions need an argument from the last layer;
+                # (i, i2) with frontier <= i2 <= i repeats (i2, i) or i
+                for i in range(frontier, known):
+                    v, t = records[i][:2]
+                    for i2 in chain(range(frontier), range(i + 1, known)):
+                        rec2 = records[i2]
+                        add((v | rec2[0], t & rec2[1]), P_AND, i, i2, -1,
+                            layer)
+            if len(records) == known:
+                self.profiles = list(index)
+                return records, layers
+            if len(records) > max_profiles:
+                raise RuntimeError(
+                    f"profile closure exceeded {max_profiles} profiles")
+            frontier = known
+
     def run(self, program, root):
-        """(vocab mask, truth mask) over all worlds of a program's root.  The
-        program and its node values stay loaded for node() and for runs of
-        the same program until another one runs."""
+        """(vocab mask, truth mask) over all worlds of a program's root."""
+        self.load(program)
+        return self.node(root)
+
+    def load(self, program):
+        """Makes program the one node() evaluates.  It and its node values
+        stay loaded until another program is loaded."""
         if program is not self.program:
             self.program = program
             self.op, self.a1, self.a2, self.aux, nslots = program
@@ -101,7 +163,6 @@ class _Model:
                          if b >> top else () for b in sets]
             self.env = [0] * nslots
             self.memo = {}
-        return self.node(root)
 
     def node(self, i):
         """(vocab mask, truth mask) of node i of the loaded program under the
@@ -139,63 +200,3 @@ class _Model:
             out = self.step(code, self.aux[i], self.node(self.a1[i]))
         self.memo[key] = out
         return out
-
-
-def close_profiles(n_worlds, prop_world_masks, prop_true, succ, aware, ops,
-                   max_profiles):
-    """Least fixpoint of the profile closure under the opcodes set in the
-    bitmask ops (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), with BFS layers.
-
-    Returns (records, layers) where records[i] = (vocab_mask, truth_mask, op,
-    arg1, arg2, aux) and layers[i] is the minimal witness depth (seeds are 0).
-    (op, arg1, arg2, aux) is a program node over earlier records.
-    """
-    model = _Model(n_worlds, prop_world_masks, prop_true, succ, aware)
-    step = model.step
-    # per new record: NOT, then K and X per agent, then A per agent
-    agents = range(len(succ))
-    unary = [(P_NOT, -1)]
-    unary += [(code, ai) for ai in agents for code in (P_K, P_X)]
-    unary += [(P_A, ai) for ai in agents]
-    unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
-    records = []
-    layers = []
-    index = {}
-
-    def add(profile, op, a1, a2, aux, layer):
-        if profile not in index:
-            index[profile] = len(records)
-            records.append((*profile, op, a1, a2, aux))
-            layers.append(layer)
-
-    for j, truth in enumerate(prop_true):
-        add((1 << j, truth), P_PROP, -1, -1, j, 0)
-    if (ops >> P_TOP) & 1:
-        add((0, model.dom(0)), P_TOP, -1, -1, -1, 0)
-
-    frontier = 0
-    for layer in count(1):
-        known = len(records)
-        for i in range(frontier, known):
-            x = records[i][:2]
-            for code, ai in unary:
-                add(step(code, ai, x), code, i, -1, ai, layer)
-        if (ops >> P_AND) & 1:
-            # new conjunctions need an argument from the last layer; a probe
-            # (i, i2) with frontier <= i2 <= i repeats (i2, i) or record i
-            for i in range(frontier, known):
-                v, t = records[i][:2]
-                for i2 in chain(range(frontier), range(i + 1, known)):
-                    rec2 = records[i2]
-                    add((v | rec2[0], t & rec2[1]), P_AND, i, i2, -1, layer)
-        if len(records) == known:
-            return records, layers
-        if len(records) > max_profiles:
-            raise RuntimeError(
-                f"profile closure exceeded {max_profiles} profiles")
-        frontier = known
-
-
-# make_evaluator(n_worlds, prop_world_masks, prop_true, succ, aware,
-#                profiles), as in awarecheck.kernel
-make_evaluator = _Model

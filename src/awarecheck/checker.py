@@ -20,7 +20,7 @@ from functools import cached_property
 from . import _kernel_py
 from ._kernel_py import (P_A, P_AND, P_FORALL, P_K, P_NOT, P_PROP, P_TOP,
                          P_VAR, P_X)
-from .kernel import BACKEND, MASK_BITS, close_profiles, make_evaluator
+from .kernel import BACKEND, MASK_BITS, NativeKernel
 from .model import AwarenessStructure
 from .syntax import (TOP, A, And, Forall, K, Not, Prop, Top, Var, X,
                      free_vars, is_quantifier_free, vocabulary)
@@ -98,47 +98,43 @@ class OracleBudgetExceeded(RuntimeError):
 
 
 class _Context:
-    """Per-(structure, domain) evaluation state: bitmask encodings, the
-    profile fixpoint, and the evaluators that run formula programs."""
+    """Per-(structure, domain) evaluation state: one kernel holding the
+    bitmask encoding and the closed profiles, and the closure's records."""
 
     def __init__(self, m, domain):
         self.worlds = m.worlds
         self.props = m.props
         self.widx = widx = {w: i for i, w in enumerate(m.worlds)}
         pidx = {p: j for j, p in enumerate(m.props)}
-        self.nw = nw = len(m.worlds)
+        nw = len(m.worlds)
         # the one model encoding that every kernel takes (see _kernel_py)
-        self.succ = [[0] * nw for _ in range(m.agents)]
+        succ = [[0] * nw for _ in range(m.agents)]
         for i in range(1, m.agents + 1):
             for (s, t) in m.rel[i]:
-                self.succ[i - 1][widx[s]] |= 1 << widx[t]
-        self.model = (
+                succ[i - 1][widx[s]] |= 1 << widx[t]
+        encoding = (
             nw,
             [sum(1 << widx[w] for w in m.worlds if p in m.lang[w])
              for p in m.props],
             [sum(1 << widx[w] for w in m.worlds if p in m.val[w])
              for p in m.props],
-            self.succ,
+            succ,
             [[sum(1 << pidx[p] for p in m.aware[i][w]) for w in m.worlds]
              for i in range(1, m.agents + 1)])
-        # one backend per context; the pure one also serves forall_witness
-        fits = nw <= MASK_BITS and len(m.props) <= MASK_BITS
-        close = close_profiles if fits else _kernel_py.close_profiles
-        self.records, self.layers = close(*self.model, domain.opcodes,
-                                          4_000_000)
-        self.profiles = [(rec[0], rec[1]) for rec in self.records]
+        # the one backend choice: native when built and the masks fit
+        native = BACKEND == "c" and max(nw, len(m.props)) <= MASK_BITS
+        self.kernel = (NativeKernel if native else _kernel_py.Kernel)(
+            *encoding)
+        self.records, self.layers = close_profiles(self.kernel, domain)
         self.stab_depth = max(self.layers, default=0)
         self._witnesses = {}
-        self.pure = _kernel_py.make_evaluator(*self.model, self.profiles)
-        self.evaluator = make_evaluator(*self.model, self.profiles) \
-            if fits and BACKEND == "c" else self.pure
-        self.dom = self.pure.dom
+        self.dom = self.kernel.dom
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
         world's language."""
         depth = 0
-        for (vocab, _), layer in zip(self.profiles, self.layers):
+        for (vocab, _), layer in zip(self.kernel.profiles, self.layers):
             if (self.dom(vocab) >> w) & 1 and layer > depth:
                 depth = layer
         return depth
@@ -161,11 +157,17 @@ class _Context:
         return got
 
 
+def close_profiles(kernel, domain):
+    """(records, layers) of the domain's profile closure on a kernel, whose
+    quantifiers then range over the closed profiles."""
+    return kernel.close(domain.opcodes, 4_000_000)
+
+
 def _context(m, domain):
-    ctx = m._ctx_cache.get(domain)
+    # opcodes determines the domain, and an int hashes cheaply
+    ctx = m._ctx_cache.get(domain.opcodes)
     if ctx is None:
-        ctx = _Context(m, domain)
-        m._ctx_cache[domain] = ctx
+        ctx = m._ctx_cache[domain.opcodes] = _Context(m, domain)
     return ctx
 
 
@@ -248,7 +250,7 @@ def _sentence_masks(m, f, domain):
     """Context plus whole-model (vocab, truth) masks for a sentence."""
     code, root = _program(m, f)
     ctx = _context(m, domain)
-    return (ctx,) + ctx.evaluator.run(code, root)
+    return (ctx,) + ctx.kernel.run(code, root)
 
 
 def evaluate(m, world, f, domain=KXA):
@@ -285,7 +287,7 @@ def realizable_profiles(m, domain=KXA):
     in fixpoint discovery order, each with a minimal-depth witness."""
     ctx = _context(m, domain)
     out = []
-    for idx, (vocab, truth) in enumerate(ctx.profiles):
+    for idx, (vocab, truth) in enumerate(ctx.kernel.profiles):
         vset = frozenset(ctx.props[j] for j in range(len(ctx.props))
                          if (vocab >> j) & 1)
         d = ctx.dom(vocab)
@@ -310,7 +312,7 @@ def forall_witness(m, world, f, domain=KXA):
     ctx = _context(m, domain)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
-    ctx.pure.run(code, root)
+    ctx.kernel.load(code)
     return _quantifier_witness(ctx, ctx.widx[world], root)
 
 
@@ -321,13 +323,13 @@ def _truth_at(ctx, w, vocab, truth):
 
 
 def _quantifier_witness(ctx, w, i):
-    """Walks node i of the program last run by ctx.pure and the nodes under
-    it that lie outside every quantifier."""
-    ev = ctx.pure
+    """Walks node i of the program loaded into ctx.kernel and the nodes
+    under it that lie outside every quantifier."""
+    ev = ctx.kernel
     op, body = ev.op[i], ev.a1[i]
     value = _truth_at(ctx, w, *ev.node(i))
     if op == P_FORALL and value is Truth.FALSE:
-        for k, (vocab, _) in enumerate(ctx.profiles):
+        for k, (vocab, _) in enumerate(ev.profiles):
             if not (ctx.dom(vocab) >> w) & 1:
                 continue
             ev.env[ev.aux[i]] = k
@@ -344,8 +346,8 @@ def _quantifier_witness(ctx, w, i):
                     return got
         return None
     if op in (P_K, P_X) and value is Truth.FALSE:
-        succ = ctx.succ[ev.aux[i]][w]
-        for u in range(ctx.nw):
+        succ = ev.succ[ev.aux[i]][w]
+        for u in range(ev.n_worlds):
             if (succ >> u) & 1 and \
                     _truth_at(ctx, u, *ev.node(body)) is Truth.FALSE:
                 got = _quantifier_witness(ctx, u, body)

@@ -1,7 +1,8 @@
-"""Selects the kernels (profile closure + formula-program interpreter): the
-native ones in _kernel.c, or the pure-Python twins in _kernel_py.  Both
-backends take the same model, (n_worlds, prop_world_masks, prop_true, succ,
-aware), and the same programs and opcode masks (see _kernel_py).
+"""The native kernels (profile closure + formula-program interpreter) of
+_kernel.c, behind NativeKernel, the native twin of _kernel_py.Kernel: one
+object per structure that takes the model encoding (n_worlds,
+prop_world_masks, prop_true, succ, aware) once, closes its profiles and runs
+programs over them (see _kernel_py).
 
 On first import _kernel.c is compiled with `cc -O2 -shared -fPIC` into the
 package's __pycache__/, under a name keyed by a hash of the source, and
@@ -77,49 +78,43 @@ def _addr(buf):
     return buf.buffer_info()[0]
 
 
-def _model(n_worlds, prop_world_masks, prop_true, succ, aware,
-           profiles=()):
-    """(buffers, _Model over them); the buffers must outlive its use."""
-    bufs = (array("Q", prop_world_masks), array("Q", prop_true),
-            *(array("Q", [mask for row in rows for mask in row])
-              for rows in (succ, aware)),
-            array("Q", [v for v, _ in profiles]),
-            array("Q", [t for _, t in profiles]))
-    return bufs, _Model(n_worlds, len(prop_true), len(succ), len(profiles),
-                        *map(_addr, bufs))
+class NativeKernel(_kernel_py.Kernel):
+    """_kernel_py.Kernel with close() and run() in C: same constructor, same
+    results, for programs whose columns are array.array buffers (see
+    checker._compile_program).  The model is marshalled into one _Model at
+    construction; close() points its profile columns at the closure's
+    output, which run() then reads."""
 
-
-def _close_native(n_worlds, prop_world_masks, prop_true, succ, aware, ops,
-                  max_profiles):
-    """_kernel_py.close_profiles in C: same arguments, same result."""
-    bufs, model = _model(n_worlds, prop_world_masks, prop_true, succ, aware)
-    out = _Records()
-    try:
-        rc = _lib.ak_close(model, ops, max_profiles, out)
-        if rc:
-            raise MemoryError("profile closure") if rc < 0 else RuntimeError(
-                f"profile closure exceeded {max_profiles} profiles")
-        n = out.count
-        records = list(zip(out.vocab[:n], out.truth[:n], out.op[:n],
-                           out.a1[:n], out.a2[:n], out.aux[:n]))
-        return records, out.layer[:n]
-    finally:
-        _lib.ak_free(out)
-
-
-class _Eval:
-    """_kernel_py._Model.run in C: same constructor, same results, for
-    programs whose columns are array.array buffers (see
-    checker._compile_program)."""
-
-    def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware,
-                 profiles):
-        self._bufs, self._model = _model(n_worlds, prop_world_masks,
-                                         prop_true, succ, aware, profiles)
+    def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
+        super().__init__(n_worlds, prop_world_masks, prop_true, succ, aware)
+        self._bufs = (array("Q", prop_world_masks), array("Q", prop_true),
+                      *(array("Q", [mask for row in rows for mask in row])
+                        for rows in (succ, aware)))
+        self._model = _Model(n_worlds, len(prop_true), len(succ), 0,
+                             *map(_addr, self._bufs))
         self._out = (ctypes.c_uint64 * 2)()
 
+    def close(self, ops, max_profiles):
+        out = _Records()
+        try:
+            rc = _lib.ak_close(self._model, ops, max_profiles, out)
+            if rc:
+                raise MemoryError("profile closure") if rc < 0 else \
+                    RuntimeError(
+                        f"profile closure exceeded {max_profiles} profiles")
+            n = out.count
+            cols = [getattr(out, name)[:n] for name in
+                    ("vocab", "truth", "op", "a1", "a2", "aux", "layer")]
+        finally:
+            _lib.ak_free(out)
+        self.profiles = list(zip(cols[0], cols[1]))
+        self._prof = array("Q", cols[0]), array("Q", cols[1])
+        model = self._model
+        model.n_profiles = n
+        model.prof_v, model.prof_f = map(_addr, self._prof)
+        return list(zip(*cols[:6])), cols[6]
+
     def run(self, program, root):
-        """(vocab mask, truth mask) over all worlds of a program's root."""
         op, a1, a2, aux, nslots = program
         if _lib.ak_run(self._model, _addr(op), _addr(a1), _addr(a2),
                        _addr(aux), len(op), nslots, root, self._out):
@@ -131,8 +126,5 @@ try:
     _lib, _path = _load()
 except (OSError, AttributeError) as exc:
     BACKEND, BACKEND_REASON = "python", f"native kernel unavailable: {exc}"
-    close_profiles = _kernel_py.close_profiles
-    make_evaluator = _kernel_py.make_evaluator
 else:
     BACKEND, BACKEND_REASON = "c", f"native kernel loaded from {_path}"
-    close_profiles, make_evaluator = _close_native, _Eval

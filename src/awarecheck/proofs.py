@@ -9,15 +9,16 @@ atoms and truth-tabling.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 
-from .checker import (K_ONLY, KXA, XA, Truth, evaluate, weak_counterexample)
-from .fuzz import (random_formula, random_open_formula, random_qf_sentence,
-                   random_tautology)
+from .checker import K_ONLY, KXA, XA, weak_counterexample
+from .fuzz import random_formula, random_qf_sentence, random_tautology
 from .syntax import (TOP, A, And, AStar, Forall, Formula, Iff, Implies, K,
-                     Not, Or, Prop, Top, Var, X, free_vars,
-                     is_quantifier_free, is_sentence, map_props, parse,
-                     pretty, subformulas, subst_var, vocabulary)
+                     Not, Prop, Top, Var, X, free_vars, is_quantifier_free,
+                     is_sentence, map_props, parse, pretty, subformulas,
+                     subst_var, vocabulary)
+from .syntax import _rebuild, _subst_var
 
 __all__ = [
     "MetaF", "SCHEMA_NAMES", "RULE_NAMES", "match_axiom", "instantiate",
@@ -33,18 +34,6 @@ class MetaF(Formula):
     """Formula metavariable inside a schema pattern."""
 
     name: str
-
-
-def _implies(a, b):
-    return Implies(a, b)
-
-
-def _phi():
-    return MetaF("phi")
-
-
-def _psi():
-    return MetaF("psi")
 
 
 _I = "i"
@@ -114,59 +103,13 @@ def _match(pat, f, b):
 def _build(pat, b):
     if isinstance(pat, MetaF):
         return b[pat.name]
-    if isinstance(pat, (Top, Prop)):
-        return pat
     if isinstance(pat, Var):
         return Var(b[pat.name]) if pat.name.startswith("?") else pat
-    if isinstance(pat, Not):
-        return Not(_build(pat.body, b))
-    if isinstance(pat, And):
-        return And(_build(pat.left, b), _build(pat.right, b))
-    if isinstance(pat, (K, A, X)):
-        agent = b[pat.agent] if isinstance(pat.agent, str) else pat.agent
-        return type(pat)(agent, _build(pat.body, b))
-    if isinstance(pat, Forall):
-        var = b[pat.var] if pat.var.startswith("?") else pat.var
-        return Forall(var, _build(pat.body, b))
-    raise TypeError(f"bad pattern node: {pat!r}")
-
-
-def _extract_1forall_instance(body, x, inst):
-    """Finds psi with body[x/psi] == inst, walking both trees in parallel.
-    Returns (ok, psi); psi is None when x has no free occurrence."""
-    found = []
-
-    def go(b, i, shadowed):
-        if isinstance(b, Var) and b.name == x and not shadowed:
-            found.append(i)
-            return True
-        if type(b) is not type(i):
-            return False
-        if isinstance(b, (Top,)):
-            return True
-        if isinstance(b, (Prop, Var)):
-            return b == i
-        if isinstance(b, Not):
-            return go(b.body, i.body, shadowed)
-        if isinstance(b, And):
-            return go(b.left, i.left, shadowed) and \
-                go(b.right, i.right, shadowed)
-        if isinstance(b, (K, A, X)):
-            return b.agent == i.agent and go(b.body, i.body, shadowed)
-        if isinstance(b, Forall):
-            if b.var != i.var:
-                return False
-            return go(b.body, i.body, shadowed or b.var == x)
-        return False
-
-    if not go(body, inst, False):
-        return False, None
-    if not found:
-        return True, None
-    psi = found[0]
-    if any(other != psi for other in found[1:]):
-        return False, None
-    return True, psi
+    if isinstance(pat, (K, A, X)) and isinstance(pat.agent, str):
+        pat = type(pat)(b[pat.agent], pat.body)
+    elif isinstance(pat, Forall) and pat.var.startswith("?"):
+        pat = Forall(b[pat.var], pat.body)
+    return _rebuild(pat, _build, b)
 
 
 # --- schema table -----------------------------------------------------------
@@ -178,10 +121,6 @@ class Schema:
         self.side = side
         self.build = build
         self.metas = metas
-
-
-def _astar(agent, body):
-    return AStar(agent, body)
 
 
 def _prop_abstract(f, atoms):
@@ -244,18 +183,16 @@ def _build_agpp(conjunct, wrap):
 
 
 def _side_1forall(b, config):
-    ok, psi = _extract_1forall_instance(b["phi"], b[_XV], b["inst"])
-    if not ok:
+    # inst is phi[x/psi] for one psi, or phi itself when x is not free in it
+    if not _match(_subst_var(b["phi"], b[_XV], MetaF("psi")), b["inst"], b):
         return False
+    psi = b.get("psi")
     if psi is None:
         return True
     if not is_quantifier_free(psi) or not is_sentence(psi):
         return False
-    if not config.get("include_top", False):
-        if any(isinstance(g, Top) for g in subformulas(psi)):
-            return False
-    b["psi"] = psi
-    return True
+    return config.get("include_top", False) or \
+        not any(isinstance(g, Top) for g in subformulas(psi))
 
 
 def _build_1forall(b):
@@ -268,7 +205,7 @@ def _side_nforall(b, config):
 
 
 def _schemas():
-    phi, psi = _phi(), _psi()
+    phi, psi = MetaF("phi"), MetaF("psi")
     xv = Var(_XV)
     table = {}
 
@@ -278,8 +215,7 @@ def _schemas():
     put("Prop", metas=("taut",))
     put("AGPP",
         pattern=Iff(A(_I, phi), MetaF("rhs")),
-        side=_side_agpp(lambda i, g: A(i, g)),
-        build=_build_agpp(lambda i, g: A(i, g), lambda i, g: A(i, g)),
+        side=_side_agpp(A), build=_build_agpp(A, A),
         metas=(_I, "phi"))
     put("KA", Implies(A(_I, phi), K(_I, A(_I, phi))), metas=(_I, "phi"))
     put("NKA", Implies(Not(A(_I, phi)), K(_I, Not(A(_I, phi)))),
@@ -328,25 +264,23 @@ def _schemas():
                 X(_I, Forall(_XV, Not(A(_I, xv))))),
         metas=(_I, _XV))
     put("AGPP_star",
-        pattern=Iff(_astar(_I, phi), MetaF("rhs")),
-        side=_side_agpp(lambda i, g: _astar(i, g)),
-        build=_build_agpp(lambda i, g: _astar(i, g),
-                          lambda i, g: _astar(i, g)),
+        pattern=Iff(AStar(_I, phi), MetaF("rhs")),
+        side=_side_agpp(AStar), build=_build_agpp(AStar, AStar),
         metas=(_I, "phi"))
-    put("XA_star", Implies(_astar(_I, phi), K(_I, _astar(_I, phi))),
+    put("XA_star", Implies(AStar(_I, phi), K(_I, AStar(_I, phi))),
         metas=(_I, "phi"))
-    put("A0_star", Implies(K(_I, phi), _astar(_I, phi)), metas=(_I, "phi"))
-    put("5_star", Implies(And(Not(K(_I, phi)), _astar(_I, phi)),
+    put("A0_star", Implies(K(_I, phi), AStar(_I, phi)), metas=(_I, "phi"))
+    put("5_star", Implies(And(Not(K(_I, phi)), AStar(_I, phi)),
                           K(_I, Not(K(_I, phi)))), metas=(_I, "phi"))
     put("Barcan_star",
-        Implies(And(_astar(_I, Forall(_XV, phi)),
-                    Forall(_XV, Implies(_astar(_I, xv), K(_I, phi)))),
-                K(_I, Implies(Forall(_XV, _astar(_I, xv)),
+        Implies(And(AStar(_I, Forall(_XV, phi)),
+                    Forall(_XV, Implies(AStar(_I, xv), K(_I, phi)))),
+                K(_I, Implies(Forall(_XV, AStar(_I, xv)),
                               Forall(_XV, phi)))),
         metas=(_I, _XV, "phi:open"))
     put("FA_star",
-        Implies(Forall(_XV, Not(_astar(_I, xv))),
-                K(_I, Forall(_XV, Not(_astar(_I, xv))))),
+        Implies(Forall(_XV, Not(AStar(_I, xv))),
+                K(_I, Forall(_XV, Not(AStar(_I, xv))))),
         metas=(_I, _XV))
     return table
 
@@ -389,6 +323,15 @@ def instantiate(name, bindings):
 RULE_NAMES = ("MP", "Gen_K", "Gen_X", "Gen_star", "Gen_forall")
 
 
+def _gen_conclusion(name, agent, phi):
+    """What Gen_K, Gen_X or Gen_star concludes from the premise phi."""
+    if name == "Gen_K":
+        return K(agent, phi)
+    if name == "Gen_X":
+        return Implies(A(agent, phi), X(agent, phi))
+    return Implies(AStar(agent, phi), K(agent, phi))
+
+
 def _check_rule(name, premises, conclusion, agent=None, q=None, x=None):
     """None when the application is correct, else a reason string."""
     if name == "MP":
@@ -402,14 +345,7 @@ def _check_rule(name, premises, conclusion, agent=None, q=None, x=None):
             return f"{name} takes one premise"
         if agent is None:
             return f"{name} needs an agent"
-        want = {
-            "Gen_K": lambda: K(agent, premises[0]),
-            "Gen_X": lambda: Implies(A(agent, premises[0]),
-                                     X(agent, premises[0])),
-            "Gen_star": lambda: Implies(AStar(agent, premises[0]),
-                                        K(agent, premises[0])),
-        }[name]()
-        if conclusion != want:
+        if conclusion != _gen_conclusion(name, agent, premises[0]):
             return f"conclusion does not match {name} of the premise"
         return None
     if name == "Gen_forall":
@@ -438,6 +374,12 @@ class AxiomSystem:
     modal_ops: frozenset
     quantifiers: bool
     domain: object
+
+    @cached_property
+    def ops(self):
+        """The connectives of the system's language, as fuzz takes them."""
+        return tuple(op for op in ("not", "and", "K", "A", "X")
+                     if op in ("not", "and") or op in self.modal_ops)
 
     def allows(self, f):
         """None when f lies in the system's language, else a reason."""
@@ -677,8 +619,7 @@ class SweepReport:
 def _meta_bindings(rng, schema, props, n_agents, system, depth):
     """Random metavariable bindings for one schema instance, drawn from the
     system's language."""
-    ops = tuple(op for op in ("not", "and", "K", "A", "X")
-                if op in ("not", "and") or op in system.modal_ops)
+    ops = system.ops
     qprob = 0.2 if system.quantifiers else 0.0
     b = {}
     for meta in schema.metas:
@@ -716,10 +657,9 @@ def schema_instances(rng, name, props, n_agents, system, count, depth=3):
     while len(out) < count and guard < count * 30:
         guard += 1
         if name == "Prop":
-            ops = tuple(op for op in ("not", "and", "K", "A", "X")
-                        if op in ("not", "and") or op in system.modal_ops)
             inst = random_tautology(
-                rng, props, n_agents, ops=ops, max_depth=max(1, depth - 1),
+                rng, props, n_agents, ops=system.ops,
+                max_depth=max(1, depth - 1),
                 quantifier_prob=0.2 if system.quantifiers else 0.0)
         else:
             b = _meta_bindings(rng, schema, props, n_agents, system, depth)
@@ -800,12 +740,7 @@ def _check_rules_on_model(system, m, domain, rng, pool, samples, report):
                         SweepViolation("rule", "MP", m, psi, world))
             elif rule in ("Gen_K", "Gen_X", "Gen_star"):
                 agent = rng.randint(1, m.agents)
-                conclusion = {
-                    "Gen_K": lambda: K(agent, phi),
-                    "Gen_X": lambda: Implies(A(agent, phi), X(agent, phi)),
-                    "Gen_star": lambda: Implies(AStar(agent, phi),
-                                                K(agent, phi)),
-                }[rule]()
+                conclusion = _gen_conclusion(rule, agent, phi)
                 world = weak_counterexample(m, conclusion, domain)
                 if world is not None:
                     report.rule_findings.append(

@@ -132,21 +132,39 @@ def APrime(agent, body):
     return Or(K(agent, body), K(agent, Not(K(agent, body))))
 
 
+def _children(f):
+    """The immediate subformulas of f, left to right."""
+    if isinstance(f, (Top, Prop, Var)):
+        return ()
+    if isinstance(f, And):
+        return f.left, f.right
+    if isinstance(f, (Not, K, A, X, Forall)):
+        return f.body,
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebuild(f, sub, *args):
+    """f with each immediate subformula g replaced by sub(g, *args)."""
+    if isinstance(f, (Top, Prop, Var)):
+        return f
+    if isinstance(f, Not):
+        return Not(sub(f.body, *args))
+    if isinstance(f, And):
+        return And(sub(f.left, *args), sub(f.right, *args))
+    if isinstance(f, (K, A, X)):
+        return type(f)(f.agent, sub(f.body, *args))
+    if isinstance(f, Forall):
+        return Forall(f.var, sub(f.body, *args))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def subformulas(f):
     """Yields f and every subformula, preorder."""
     stack = [f]
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, And):
-            stack.append(g.right)
-            stack.append(g.left)
-        elif isinstance(g, (K, A, X)):
-            stack.append(g.body)
-        elif isinstance(g, Forall):
-            stack.append(g.body)
+        stack.extend(reversed(_children(g)))
 
 
 def vocabulary(f):
@@ -158,17 +176,8 @@ def vocabulary(f):
 def free_vars(f):
     if isinstance(f, Var):
         return frozenset((f.name,))
-    if isinstance(f, (Top, Prop)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, And):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (K, A, X)):
-        return free_vars(f.body)
-    if isinstance(f, Forall):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    out = frozenset().union(*map(free_vars, _children(f)))
+    return out - {f.var} if isinstance(f, Forall) else out
 
 
 def bound_vars(f):
@@ -201,19 +210,9 @@ def subst_var(f, x, psi):
 def _subst_var(f, x, psi):
     if isinstance(f, Var):
         return psi if f.name == x else f
-    if isinstance(f, (Top, Prop)):
+    if isinstance(f, Forall) and f.var == x:
         return f
-    if isinstance(f, Not):
-        return Not(_subst_var(f.body, x, psi))
-    if isinstance(f, And):
-        return And(_subst_var(f.left, x, psi), _subst_var(f.right, x, psi))
-    if isinstance(f, (K, A, X)):
-        return type(f)(f.agent, _subst_var(f.body, x, psi))
-    if isinstance(f, Forall):
-        if f.var == x:
-            return f
-        return Forall(f.var, _subst_var(f.body, x, psi))
-    raise TypeError(f"not a formula: {f!r}")
+    return _rebuild(f, _subst_var, x, psi)
 
 
 def map_props(f, mapping):
@@ -224,20 +223,8 @@ def map_props(f, mapping):
     """
     if isinstance(f, Prop):
         g = mapping.get(f.name, f.name)
-        if isinstance(g, Formula):
-            return g
-        return Prop(g)
-    if isinstance(f, (Top, Var)):
-        return f
-    if isinstance(f, Not):
-        return Not(map_props(f.body, mapping))
-    if isinstance(f, And):
-        return And(map_props(f.left, mapping), map_props(f.right, mapping))
-    if isinstance(f, (K, A, X)):
-        return type(f)(f.agent, map_props(f.body, mapping))
-    if isinstance(f, Forall):
-        return Forall(f.var, map_props(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
+        return g if isinstance(g, Formula) else Prop(g)
+    return _rebuild(f, map_props, mapping)
 
 
 def subst_prop(f, q, psi):

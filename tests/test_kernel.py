@@ -5,15 +5,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from awarecheck import kernel
-from awarecheck._kernel_py import close_profiles as close_py
-from awarecheck._kernel_py import make_evaluator as make_pure_evaluator
+from awarecheck import checker, kernel
+from awarecheck._kernel_py import Kernel
 from awarecheck.checker import (KXA, XA, QuantifierDomain, _context, _program,
-                                evaluate)
+                                evaluate, forall_witness, weak_counterexample)
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import AwarenessStructure, generate_random
-from awarecheck.syntax import And, parse
+from awarecheck.syntax import (TOP, A, And, Forall, K, Not, Prop, Var, X,
+                               free_vars, parse)
 
 needs_c = pytest.mark.skipif(kernel.BACKEND != "c",
                              reason=kernel.BACKEND_REASON)
@@ -24,22 +26,23 @@ BARCAN = os.path.join(os.path.dirname(__file__), "..", "fixtures",
 
 
 def _kernel_inputs(m, domain):
-    return _context(m, domain).model + (domain.opcodes, 4_000_000)
+    """m's model encoding, as its context's kernel took it."""
+    k = _context(m, domain).kernel
+    return k.n_worlds, k.pwm, k.ptrue, k.succ, k.aware
 
 
 def _closures_agree(m, domain):
-    args = _kernel_inputs(m, domain)
-    recs_py, layers_py = close_py(*args)
-    recs_c, layers_c = kernel.close_profiles(*args)
-    assert recs_py == recs_c
-    assert layers_py == layers_c
-    return recs_c
+    """A pure and a native kernel over m, each closed under the domain, once
+    their closures are seen to agree."""
+    kernels = [cls(*_kernel_inputs(m, domain))
+               for cls in (Kernel, kernel.NativeKernel)]
+    pure, native = (k.close(domain.opcodes, 4_000_000) for k in kernels)
+    assert pure == native
+    return kernels
 
 
-def _evaluators_agree(m, domain, formulas):
-    ctx = _context(m, domain)
-    native = kernel.make_evaluator(*ctx.model, ctx.profiles)
-    pure = make_pure_evaluator(*ctx.model, ctx.profiles)
+def _evaluators_agree(m, kernels, formulas):
+    pure, native = kernels
     for f in formulas:
         program = _program(m, f)
         assert native.run(*program) == pure.run(*program), f
@@ -69,7 +72,7 @@ def test_eval_backends_agree():
     for seed in range(60):
         m = generate_random(2, 4, ["p", "q"], frozenset(), seed=seed)
         for domain in (KXA, XA):
-            _evaluators_agree(m, domain, [
+            _evaluators_agree(m, _closures_agree(m, domain), [
                 random_sentence(rng, m.props, m.agents, max_depth=4,
                                 quantifier_prob=0.3,
                                 allow_top=(seed % 3 == 0))
@@ -82,14 +85,14 @@ def test_backends_agree_past_former_limits():
     # than 16 agents, more than 1024 nodes and more than 64 quantifiers
     rng = random.Random(5)
     m = generate_random(2, 8, ["p", "q", "r", "s"], frozenset(), seed=7)
-    assert len(_closures_agree(m, KXA)) > 1024
-    _evaluators_agree(m, KXA, [
+    kernels = _closures_agree(m, KXA)
+    assert len(kernels[0].profiles) > 1024
+    _evaluators_agree(m, kernels, [
         random_sentence(rng, m.props, m.agents, max_depth=3,
                         quantifier_prob=0.3) for _ in range(6)])
 
     m = generate_random(17, 3, ["p", "q"], frozenset(), seed=3)
-    _closures_agree(m, KXA)
-    _evaluators_agree(m, KXA, [
+    _evaluators_agree(m, _closures_agree(m, KXA), [
         random_sentence(rng, m.props, m.agents, max_depth=4,
                         quantifier_prob=0.3) for _ in range(20)])
 
@@ -99,7 +102,7 @@ def test_backends_agree_past_former_limits():
                         for _ in range(300)])
     code, _ = _program(m, big)
     assert len(code[0]) > 1024 and code[-1] > 64
-    _evaluators_agree(m, KXA, [big])
+    _evaluators_agree(m, _closures_agree(m, KXA), [big])
 
 
 def test_closure_size_guard_routes_to_python():
@@ -110,9 +113,75 @@ def test_closure_size_guard_routes_to_python():
                            {1: [("w", "w")]}, {1: {"w": []}})
     ctx = _context(m, QuantifierDomain(ops=frozenset({"not"})))
     assert len(ctx.records) == 130  # each proposition and its negation
-    assert ctx.evaluator is ctx.pure
+    assert type(ctx.kernel) is Kernel
     assert str(evaluate(m, "w", parse("p64 & forall #x . (#x | !#x)"),
                         QuantifierDomain(ops=frozenset({"not"})))) == "True"
+
+
+def _sentences(n_agents):
+    """Sentences over p and q with quantifiers, shadowed variables and
+    `true`: every free variable is bound at the top."""
+    leaves = st.sampled_from([Prop("p"), Prop("q"), TOP, Var("x"),
+                              Var("y")])
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(Not), st.builds(And, sub, sub),
+            st.builds(lambda op, i, g: op(i, g), st.sampled_from([K, A, X]),
+                      st.integers(1, n_agents), sub),
+            st.builds(Forall, st.sampled_from("xy"), sub))
+
+    def close(f):
+        for v in sorted(free_vars(f)):
+            f = Forall(v, f)
+        return f
+
+    return st.recursive(leaves, extend, max_leaves=8).map(close)
+
+
+def _answers(m, domain, formulas):
+    return [(weak_counterexample(m, f, domain),
+             [(evaluate(m, w, f, domain), forall_witness(m, w, f, domain))
+              for w in m.worlds]) for f in formulas]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4),
+       st.lists(_sentences(2), min_size=1, max_size=4))
+def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
+    # one context per domain on each backend, the pure one forced; every
+    # answer the checker derives from a context must be the same
+    m = generate_random(2, n_worlds, ["p", "q"], frozenset(), seed=seed)
+    for ops in (KXA.ops, XA.ops):
+        for top in (False, True):
+            domain = QuantifierDomain(ops, include_top=top)
+            m._ctx_cache.clear()
+            native = _answers(m, domain, formulas)
+            assert type(_context(m, domain).kernel) is (
+                kernel.NativeKernel if kernel.BACKEND == "c" else Kernel)
+            m._ctx_cache.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(checker, "NativeKernel", Kernel)
+                assert type(_context(m, domain).kernel) is Kernel
+            assert _answers(m, domain, formulas) == native
+
+
+def test_one_kernel_per_context(monkeypatch):
+    # closing, running and the witness search share one kernel object and,
+    # on the native backend, one marshalled _Model
+    kernels, models = [], []
+    init, real = Kernel.__init__, kernel._Model
+    monkeypatch.setattr(Kernel, "__init__", lambda self, *args:
+                        kernels.append(self) or init(self, *args))
+    monkeypatch.setattr(kernel, "_Model",
+                        lambda *args: models.append(args) or real(*args))
+    m = generate_random(2, 4, ["p", "q"], frozenset(), seed=1)
+    f = parse("forall #x . K1 (#x | !#x) & !A2 p")
+    for w in m.worlds:
+        evaluate(m, w, f)
+        forall_witness(m, w, f)
+    assert len(kernels) == 1
+    assert len(models) == (kernel.BACKEND == "c")
 
 
 def test_backend_reported():
