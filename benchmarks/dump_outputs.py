@@ -3,7 +3,9 @@ compared byte for byte: `profiles --json` for both fixtures and for 200
 `gen --agents 2 --worlds 4 --props p,q,r --seed N` structures, each under
 KXA and XA with and without --include-top, then `eval --json` for 2000
 seeded random sentences (quantifiers, shadowed variables and `true`
-included) at random worlds of those structures.
+included) at random worlds of those structures.  Then the structures
+themselves: the same `gen` for seeds 0-199 under every class, and every
+`enum` stream of ENUMS in its order, with its `--count-only` count.
 
 Run:  PYTHONPATH=src python3 benchmarks/dump_outputs.py OUT.txt
       (then diff OUT.txt against the same run in another checkout)
@@ -24,6 +26,12 @@ from awarecheck.syntax import pretty
 
 VARIANTS = ([], ["--include-top"], ["--domain", "XA"],
             ["--domain", "XA", "--include-top"])
+CLASSES = ("", "r", "t", "e", "rt", "re", "te", "rte")
+ENUMS = (["--agents", "1", "--max-worlds", "3", "--props", "p,q",
+          "--class", "rte"],
+         ["--agents", "1", "--max-worlds", "3", "--props", "p,q",
+          "--constant-language"],
+         ["--agents", "2", "--max-worlds", "2", "--props", "p"])
 
 
 def call(*argv):
@@ -57,6 +65,18 @@ def dump(out, tmp):
         code, text = call("eval", path, world, pretty(f), "--json", *variant)
         text = text.replace(path, names[path])
         out.write(f"{names[path]} {world} {variant} {code} {text}")
+    for cls in CLASSES:
+        argv = ["gen", "--agents", "2", "--worlds", "4", "--props", "p,q,r",
+                "--class", cls, "--count", "200"]
+        code, text = call(*argv)
+        out.write(f"{argv} {code}\n{text}")
+    for bounds in ENUMS:
+        code, text = call("enum", "--count-only", *bounds)
+        out.write(f"enum {bounds} count {code} {text}")
+        out.flush()
+        with contextlib.redirect_stdout(out):  # one line per structure
+            code = main(["enum", *bounds])
+        out.write(f"enum {bounds} {code}\n")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import _kernel_py
 from ._kernel_py import (P_A, P_AND, P_FORALL, P_K, P_NOT, P_PROP, P_TOP,
@@ -505,14 +505,15 @@ def _direct(m, widx, f, domain, depth, state):
 
 
 def _oracle_corpus(m, lang, domain, depth, state):
-    key = ("oracle_corpus", frozenset(lang), domain, depth)
-    corpus = m._ctx_cache.get(key)
-    if corpus is None:
-        local = [p for p in m.props if p in lang]
-        corpus = qf_sentences(local, m.agents, domain, depth,
-                              cap=state["cap"])
-        m._ctx_cache[key] = corpus
-    return corpus
+    """qf_sentences over lang's propositions in m's order, shared by every
+    structure with the same key; the cap is part of the key, so a smaller
+    cap still raises.  The cache is bounded because a corpus can hold up to
+    cap sentences."""
+    return _qf_corpus(tuple(p for p in m.props if p in lang), m.agents,
+                      domain, depth, state["cap"])
+
+
+_qf_corpus = lru_cache(maxsize=64)(qf_sentences)
 
 
 @dataclass

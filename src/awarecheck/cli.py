@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 = True / ok / accepted / valid, 1 = False / violation /
-counterexample / rejected, 2 = error: a malformed model or proof script, a
-formula that does not parse or is nested too deeply to handle, or a profile
-closure past its size limit or out of memory, 3 = Undefined.
+counterexample / rejected, 2 = error: bounds, a class or propositions that
+gen, enum or sweep cannot use, a malformed model or proof script, a formula
+that does not parse or is nested too deeply to handle, or a profile closure
+past its size limit or out of memory, 3 = Undefined.
 """
 
 import argparse
@@ -412,7 +413,9 @@ def main(argv=None):
         code = _fail("formula nested too deeply")
     except MemoryError as exc:
         code = _fail(f"out of memory: {exc}")
-    except RuntimeError as exc:  # the profile closure's size limit
+    except (RuntimeError, ValueError) as exc:
+        # the profile closure's size limit; arguments the model builders
+        # refuse
         code = _fail(str(exc))
     return code
 

@@ -8,8 +8,11 @@ truth-preserving transformations (injective renaming, label swap).
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from itertools import product
+from operator import and_
 
 __all__ = [
     "AwarenessStructure", "InvalidStructure", "PropertyReport",
@@ -281,48 +284,63 @@ def swap_model(m, p, p2):
     return rename_props(m, {p: p2, p2: p})
 
 
-# --- random generation -----------------------------------------------------
+# --- relations as successor masks ------------------------------------------
+#
+# Generation and enumeration hold a relation on worlds 0..k-1 as k successor
+# masks: bit t of succ[s] is set when s relates to t.  validate() reads the
+# pairs instead, so that it checks this code rather than sharing it.
 
-def _close_relation(pairs, worlds, model_class):
-    pairs = set(pairs)
+def _bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close(succ, model_class):
+    """The least relation containing succ with the class properties."""
+    succ = list(succ)
     if "r" in model_class:
-        pairs.update((w, w) for w in worlds)
-    changed = True
+        succ = [s | 1 << w for w, s in enumerate(succ)]
+    trans, eucl = "t" in model_class, "e" in model_class
+    changed = trans or eucl
     while changed:
         changed = False
-        if "t" in model_class:
-            for (s, t) in list(pairs):
-                for (t2, u) in list(pairs):
-                    if t2 == t and (s, u) not in pairs:
-                        pairs.add((s, u))
-                        changed = True
-        if "e" in model_class:
-            for (s, t) in list(pairs):
-                for (s2, u) in list(pairs):
-                    if s2 == s and (t, u) not in pairs:
-                        pairs.add((t, u))
-                        changed = True
-    return frozenset(pairs)
+        for w in range(len(succ)):
+            for u in _bits(succ[w]):
+                if trans and succ[u] & ~succ[w]:  # w->u->v gives w->v
+                    succ[w] |= succ[u]
+                    changed = True
+                if eucl and succ[w] & ~succ[u]:  # w->u, w->v give u->v
+                    succ[u] |= succ[w]
+                    changed = True
+    return tuple(succ)
 
 
-def _components(pairs, worlds):
-    parent = {w: w for w in worlds}
+def _mask_components(succ):
+    """The weakly connected components of a relation, as world masks in the
+    order of their lowest worlds."""
+    linked = list(succ)  # successors and predecessors
+    for w, s in enumerate(succ):
+        for u in _bits(s):
+            linked[u] |= 1 << w
+    comps, seen = [], 0
+    for w in range(len(succ)):
+        if not seen >> w & 1:
+            comp = frontier = 1 << w
+            while frontier:
+                reach = 0
+                for u in _bits(frontier):
+                    reach |= linked[u]
+                frontier = reach & ~comp
+                comp |= reach
+            comps.append(comp)
+            seen |= comp
+    return comps
 
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
 
-    for (s, t) in pairs:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
-    comps = {}  # in the order of each component's first world
-    for w in worlds:
-        comps.setdefault(find(w), []).append(w)
-    return list(comps.values())
-
+# --- random generation -----------------------------------------------------
 
 def generate_random(agents, n_worlds, props, model_class=frozenset(),
                     seed=0, density=0.35, require_nonempty_awareness=False,
@@ -351,16 +369,20 @@ def generate_random(agents, n_worlds, props, model_class=frozenset(),
     rel = {}
     aware = {}
     for i in range(1, agents + 1):
-        pairs = {(s, t) for s in worlds for t in worlds
-                 if rng.random() < density}
-        rel[i] = _close_relation(pairs, worlds, model_class)
+        succ = _close([sum(1 << t for t in range(n_worlds)
+                           if rng.random() < density)
+                       for _ in worlds], model_class)
+        rel[i] = [(worlds[s], worlds[t]) for s in range(n_worlds)
+                  for t in _bits(succ[s])]
         aware[i] = {}
-        for comp in _components(rel[i], worlds):
-            shared = sorted(frozenset.intersection(*[lang[w] for w in comp]))
+        for comp in _mask_components(succ):
+            members = [worlds[w] for w in _bits(comp)]
+            shared = sorted(frozenset.intersection(*[lang[w]
+                                                     for w in members]))
             picked = frozenset(p for p in shared if rng.random() < 0.5)
             if require_nonempty_awareness and shared and not picked:
                 picked = frozenset((rng.choice(shared),))
-            for w in comp:
+            for w in members:
                 aware[i][w] = picked
     return AwarenessStructure(agents, props, worlds, lang, val, rel, aware,
                               check=True)
@@ -368,76 +390,16 @@ def generate_random(agents, n_worlds, props, model_class=frozenset(),
 
 # --- exhaustive enumeration ------------------------------------------------
 
-_REL_CACHE = {}
-
-
+@cache
 def _relations(k, model_class):
-    """All relations on k worlds with the class properties, as tuples of
-    successor masks, in numeric adjacency order."""
-    key = (k, model_class)
-    cached = _REL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """All relations on k worlds with the class properties, in numeric
+    adjacency order."""
     if k * k > 20:
         raise ValueError(f"relation enumeration infeasible for {k} worlds")
-    need_r = "r" in model_class
-    need_t = "t" in model_class
-    need_e = "e" in model_class
-    out = []
-    for bits in range(1 << (k * k)):
-        succ = tuple((bits >> (k * w)) & ((1 << k) - 1) for w in range(k))
-        if need_r and any(not (succ[w] >> w) & 1 for w in range(k)):
-            continue
-        ok = True
-        if need_t:
-            for w in range(k):
-                sw = succ[w]
-                for u in range(k):
-                    if (sw >> u) & 1 and succ[u] & ~sw:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and need_e:
-            for w in range(k):
-                sw = succ[w]
-                for t in range(k):
-                    if (sw >> t) & 1 and sw & ~succ[t]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(succ)
-    _REL_CACHE[key] = out
-    return out
-
-
-def _mask_components(succ, k):
-    und = list(succ)
-    for w in range(k):
-        for u in range(k):
-            if (succ[w] >> u) & 1:
-                und[u] |= 1 << w
-    seen = 0
-    comps = []
-    for w in range(k):
-        if (seen >> w) & 1:
-            continue
-        comp = 1 << w
-        frontier = 1 << w
-        while frontier:
-            new = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                new |= und[u]
-            frontier = new & ~comp
-            comp |= new
-        comps.append(comp)
-        seen |= comp
-    return comps
+    row = (1 << k) - 1
+    every = (tuple(bits >> (k * w) & row for w in range(k))
+             for bits in range(1 << (k * k)))
+    return [succ for succ in every if _close(succ, model_class) == succ]
 
 
 def _subsets(mask):
@@ -451,8 +413,16 @@ def _subsets(mask):
         sub = (sub - mask) & mask
 
 
-def _nonempty_subsets(n_props):
-    return list(range(1, 1 << n_props))
+def _languages(k, n_props, constant_language, splits):
+    """Yields each language assignment langs of k worlds (one nonempty
+    proposition mask per world, or the full mask at every world) with, per
+    component split in splits, the (component, propositions in every
+    language of the component) pairs of its components."""
+    full = (1 << n_props) - 1
+    choices = [full] if constant_language else range(1, full + 1)
+    for langs in product(choices, repeat=k):
+        yield langs, [[(comp, reduce(and_, [langs[w] for w in _bits(comp)]))
+                       for comp in comps] for comps in splits]
 
 
 def count_models(agents, max_worlds, props, model_class=frozenset(),
@@ -461,33 +431,21 @@ def count_models(agents, max_worlds, props, model_class=frozenset(),
 
     Per world count k:  sum over language assignments L and relation tuples
     (one per agent) of  prod_w 2^|L(w)|  *  prod_i prod_comps 2^|intersection
-    of L over the component|.
+    of L over the component|.  The second factor depends on a relation only
+    through its split into components, so each split is counted once, times
+    the number of relations that have it.
     """
     total = 0
-    n_props = len(props)
-    full = (1 << n_props) - 1
     for k in range(min_worlds, max_worlds + 1):
-        rels = _relations(k, model_class)
-        comps_of = [_mask_components(succ, k) for succ in rels]
-        lang_choices = [full] if constant_language else _nonempty_subsets(n_props)
-        for langs in product(lang_choices, repeat=k):
-            val_count = 1
-            for w in range(k):
-                val_count *= 1 << langs[w].bit_count()
-            rel_total = 0
-            for comps in comps_of:
-                aware_count = 1
-                for comp in comps:
-                    inter = full
-                    cm = comp
-                    while cm:
-                        w = (cm & -cm).bit_length() - 1
-                        cm &= cm - 1
-                        inter &= langs[w]
-                    aware_count *= 1 << inter.bit_count()
-                rel_total += aware_count
-            per_agent = rel_total ** agents
-            total += val_count * per_agent
+        splits = Counter(tuple(_mask_components(succ))
+                         for succ in _relations(k, model_class))
+        for langs, inters in _languages(k, len(props), constant_language,
+                                        splits):
+            aware_total = sum(
+                n << sum(inter.bit_count() for _, inter in pairs)
+                for n, pairs in zip(splits.values(), inters))
+            total += (1 << sum(lang.bit_count() for lang in langs)) * \
+                aware_total ** agents
     return total
 
 
@@ -509,63 +467,35 @@ def enumerate_models(agents, max_worlds, props, model_class=frozenset(),
         if n > max_count:
             raise ValueError(f"enumeration would yield {n} models "
                              f"(cap {max_count})")
-    n_props = len(props)
-    full = (1 << n_props) - 1
-
-    def mask_to_set(mask):
-        return frozenset(props[j] for j in range(n_props) if (mask >> j) & 1)
-
+    as_set = cache(lambda mask: frozenset(props[j] for j in _bits(mask)))
     agent_ids = range(1, agents + 1)
     for k in range(min_worlds, max_worlds + 1):
         worlds = tuple(f"w{j}" for j in range(k))
         rels = _relations(k, model_class)
-        rel_pairs = [
-            frozenset((worlds[s], worlds[t]) for s in range(k)
-                      for t in range(k) if (succ[s] >> t) & 1)
-            for succ in rels
-        ]
-        rel_comps = [_mask_components(succ, k) for succ in rels]
-        lang_choices = [full] if constant_language else _nonempty_subsets(n_props)
-        for langs in product(lang_choices, repeat=k):
-            lang_map = {worlds[w]: mask_to_set(langs[w]) for w in range(k)}
-            comp_inters = []
-            for comps in rel_comps:
-                inters = []
-                for comp in comps:
-                    inter = full
-                    cm = comp
-                    while cm:
-                        w = (cm & -cm).bit_length() - 1
-                        cm &= cm - 1
-                        inter &= langs[w]
-                    inters.append((comp, inter))
-                comp_inters.append(inters)
+        rel_pairs = [frozenset((worlds[s], worlds[t]) for s in range(k)
+                               for t in _bits(succ[s])) for succ in rels]
+        splits = {}
+        split_of = [splits.setdefault(tuple(_mask_components(succ)),
+                                      len(splits)) for succ in rels]
+        for langs, inters in _languages(k, len(props), constant_language,
+                                        splits):
+            lang_map = {w: as_set(lang) for w, lang in zip(worlds, langs)}
+            # per split, each awareness choice as a map from world to set
+            aware_maps = [
+                [{worlds[w]: as_set(chosen)
+                  for (comp, _), chosen in zip(pairs, choice)
+                  for w in _bits(comp)}
+                 for choice in product(*[_subsets(inter)
+                                         for _, inter in pairs])]
+                for pairs in inters]
+            val_maps = [dict(zip(worlds, map(as_set, vals)))
+                        for vals in product(*map(_subsets, langs))]
             for rel_idx in product(range(len(rels)), repeat=agents):
-                rel_map = {i: rel_pairs[rel_idx[j]]
-                           for j, i in enumerate(agent_ids)}
-                aware_spaces = []
-                for j in range(agents):
-                    inters = comp_inters[rel_idx[j]]
-                    aware_spaces.append(
-                        list(product(*[_subsets(inter)
-                                       for (_, inter) in inters])))
-                for aware_choice in product(*aware_spaces):
-                    aware_map = {}
-                    for j, i in enumerate(agent_ids):
-                        inters = comp_inters[rel_idx[j]]
-                        per_world = {}
-                        for (comp, _), chosen in zip(inters, aware_choice[j]):
-                            chosen_set = mask_to_set(chosen)
-                            cm = comp
-                            while cm:
-                                w = (cm & -cm).bit_length() - 1
-                                cm &= cm - 1
-                                per_world[worlds[w]] = chosen_set
-                        aware_map[i] = per_world
-                    for vals in product(*[_subsets(langs[w])
-                                          for w in range(k)]):
-                        val_map = {worlds[w]: mask_to_set(vals[w])
-                                   for w in range(k)}
+                rel_map = {i: rel_pairs[r] for i, r in zip(agent_ids, rel_idx)}
+                for aware_choice in product(*[aware_maps[split_of[r]]
+                                              for r in rel_idx]):
+                    aware_map = dict(zip(agent_ids, aware_choice))
+                    for val_map in val_maps:
                         yield AwarenessStructure(
                             agents, props, worlds, lang_map, val_map,
                             rel_map, aware_map, check=False)

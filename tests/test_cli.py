@@ -169,6 +169,22 @@ def test_gen_and_enum(tmp_path, capsys):
     code, out, _ = run(capsys, "enum", "--max-worlds", "2", "--props", "p,q",
                        "--count-only")
     assert code == 0 and out.strip().isdigit()
+    # 65,536 relations on 4 worlds fall into 15 component splits
+    code, out, _ = run(capsys, "enum", "--max-worlds", "4", "--props",
+                       "p,q,r", "--count-only")
+    assert code == 0 and out.strip() == "84204788664"
+
+
+def test_bad_bounds_are_errors(capsys):
+    # arguments the model builders refuse are exit 2, never 1 ("False");
+    # the last two pass the enumeration cap of 20M models
+    for argv in (["gen", "--props", ","], ["gen", "--class", "xyz"],
+                 ["sweep", "AXe_KAstar", "--class", "q"],
+                 ["enum", "--max-worlds", "5"],
+                 ["enum", "--max-worlds", "3", "--props", "p,q,r"],
+                 ["enum", "--max-worlds", "4", "--props", "p,q,r"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 def test_gen_deterministic_json(capsys):

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import random
 import shutil
@@ -38,6 +39,11 @@ def _closures_agree(m, domain):
                for cls in (Kernel, kernel.NativeKernel)]
     pure, native = (k.close(domain.opcodes, 4_000_000) for k in kernels)
     assert pure == native
+    # the profile columns ak_run reads, as many as it reads
+    model = kernels[1]._model
+    vocab, truth = ((ctypes.c_uint64 * model.n_profiles).from_address(addr)
+                    for addr in (model.prof_v, model.prof_f))
+    assert list(zip(vocab, truth)) == kernels[0].profiles
     return kernels
 
 
