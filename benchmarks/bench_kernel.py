@@ -1,7 +1,9 @@
 """Benchmarks the native kernel class against its pure-Python twin: the
 profile closure, and the two interpreters running the same formula programs;
 then one closure of a 12-world, 6-proposition random structure (5404
-profiles) on each backend.
+profiles) on each backend; then the c4 sweep's instance corpus (about 60
+sentences) on one rte structure, as one program per sentence run one by one
+against one program with a root per sentence run once.
 
 Run:  python3 benchmarks/bench_kernel.py [--seconds 2]
 """
@@ -12,9 +14,10 @@ import time
 
 from awarecheck import kernel
 from awarecheck._kernel_py import Kernel
-from awarecheck.checker import KXA, _context, _program
+from awarecheck.checker import KXA, _compile_program, _context, _program
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import generate_random
+from awarecheck.proofs import parse_system, schema_instances
 
 CLASSES = [("python", Kernel)] + \
     [("c", kernel.NativeKernel)] * (kernel.BACKEND == "c")
@@ -85,6 +88,36 @@ def main():
         records, _ = cls(*large).close(KXA.opcodes, 4_000_000)
         print(f"12 worlds, 6 props, {name + ':':7} {len(records)} profiles "
               f"in {time.perf_counter() - t0:.3f} s")
+
+    # c4's corpus: AXe_KXAAstarforall+T45star, 4 instances per schema of
+    # depth 3, seed 43
+    system = parse_system("AXe_KXAAstarforall+T45star")
+    rng = random.Random(43)
+    corpus = [inst for name in sorted(system.schemas)
+              for inst in schema_instances(rng, name, ("p", "q"), 1, system,
+                                           4, 3)]
+    m = generate_random(1, 3, ("p", "q"), frozenset("rte"), seed=0)
+    singles = [_program(m, f) for f in corpus]
+    code, roots, _, _ = _compile_program(corpus, {"p": 0, "q": 1})
+    nodes = sum(len(c[0]) for c, _ in singles)
+    print(f"corpus: {len(corpus)} sentences, {nodes} nodes one by one, "
+          f"{len(code[0])} in one program")
+    for name, cls in CLASSES:
+        k = cls(*encoding(m))
+        k.close(system.domain.opcodes, 4_000_000)
+
+        def one_by_one():
+            for program in singles:
+                k.run(*program)
+
+        def batched():
+            k.program = None  # the pure kernel would keep its node values
+            k.run(code, roots)
+
+        rates = [timed(fn, args.seconds) for fn in (one_by_one, batched)]
+        print(f"corpus   {name + ':':7} {1e6 / rates[0]:8.1f} us one by one, "
+              f"{1e6 / rates[1]:8.1f} us batched per structure "
+              f"({rates[1] / rates[0]:.1f}x)")
 
 
 if __name__ == "__main__":

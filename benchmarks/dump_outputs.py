@@ -5,7 +5,11 @@ KXA and XA with and without --include-top, then `eval --json` for 2000
 seeded random sentences (quantifiers, shadowed variables and `true`
 included) at random worlds of those structures.  Then the structures
 themselves: the same `gen` for seeds 0-199 under every class, and every
-`enum` stream of ENUMS in its order, with its `--count-only` count.
+`enum` stream of ENUMS in its order, with its `--count-only` count.  Last,
+`sweep --json` for every system of SWEEPS over rte structures and over
+structures of no class, where schemas such as T, 4 and 5_star fail, with
+and without --check-rules, for three seeds; the rte runs also sweep the
+enumerated structures of up to 2 worlds.
 
 Run:  PYTHONPATH=src python3 benchmarks/dump_outputs.py OUT.txt
       (then diff OUT.txt against the same run in another checkout)
@@ -32,6 +36,8 @@ ENUMS = (["--agents", "1", "--max-worlds", "3", "--props", "p,q",
          ["--agents", "1", "--max-worlds", "3", "--props", "p,q",
           "--constant-language"],
          ["--agents", "2", "--max-worlds", "2", "--props", "p"])
+SWEEPS = ("AXe_KXAAstarforall+T45star", "AXe_KAstar+T45star",
+          "AXe_XAforall+TX4X5X", "AXe_KXAAstarforall")
 
 
 def call(*argv):
@@ -77,6 +83,16 @@ def dump(out, tmp):
         with contextlib.redirect_stdout(out):  # one line per structure
             code = main(["enum", *bounds])
         out.write(f"enum {bounds} {code}\n")
+    for system in SWEEPS:
+        for seed in range(3):
+            for cls in (["--class", "rte", "--enum-max-worlds", "2"],
+                        ["--class", "", "--agents", "2"]):
+                for rules in ([], ["--check-rules"]):
+                    argv = ["sweep", system, "--models", "40", "--seed",
+                            str(seed), "--instances", "4", *cls, *rules,
+                            "--json"]
+                    code, text = call(*argv)
+                    out.write(f"{argv} {code} {text}")
 
 
 if __name__ == "__main__":

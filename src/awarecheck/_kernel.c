@@ -5,8 +5,10 @@
    closure record is a program node with its (vocab, truth) profile in
    front.  Masks are uint64_t, so a structure may have at most 64 worlds and
    64 propositions (the caller checks); every other size comes from the
-   inputs.  Python owns the input buffers; the only memory that outlives a
-   call is ak_close's output, which the caller copies and then releases
+   inputs.  A program (see _kernel_py) may have many roots, one per
+   sentence, sharing their common nodes; ak_run evaluates all of them in
+   one call.  Python owns the input buffers; the only memory that outlives
+   a call is ak_close's output, which the caller copies and then releases
    with ak_free. */
 
 #include <stdint.h>
@@ -205,13 +207,15 @@ static VF eval(Run *r, int i) {
     return out;
 }
 
-/* Runs node root of an n-node program with nslots quantifier slots and
-   writes its (vocab, truth) masks to out; -1 when out of memory.  The
-   propositions and the slots of each node are derived here, the slots at
-   any width. */
+/* Runs the nroots nodes roots of an n-node program with nslots quantifier
+   slots and writes, per root, its (vocab, truth) masks and the mask of the
+   worlds where it is False to out, three words per root; -1 when out of
+   memory.  The propositions and the slots of each node are derived here,
+   once per call, the slots at any width, and the nodes that use no slot are
+   evaluated once for all roots. */
 int ak_run(const Model *m, const int *op, const int *a1, const int *a2,
-           const int *aux, int64_t n, int64_t nslots, int64_t root,
-           uint64_t *out) {
+           const int *aux, int64_t n, int64_t nslots, const int *roots,
+           int64_t nroots, uint64_t *out) {
     int64_t words = 1 + (nslots + 63) / 64;
     int64_t cells = n * (words + 2) + 2 * nslots;
     uint64_t *mem = calloc(cells * sizeof *mem + n + 1, 1);
@@ -233,9 +237,12 @@ int ak_run(const Model *m, const int *op, const int *a1, const int *a2,
         for (int64_t j = 1; j < words; j++) any |= u[j];
         r.state[i] = !any;
     }
-    VF got = eval(&r, (int)root);
-    out[0] = got.v;
-    out[1] = got.f;
+    for (int64_t k = 0; k < nroots; k++) {
+        VF got = eval(&r, roots[k]);
+        out[3 * k] = got.v;
+        out[3 * k + 1] = got.f;
+        out[3 * k + 2] = dom(m, got.v) & ~got.f;
+    }
     free(mem);
     return 0;
 }

@@ -6,10 +6,13 @@ A model is (n_worlds, prop_world_masks, prop_true, succ, aware): per
 proposition the worlds whose language contains it and the worlds where it is
 true, and per 0-based agent one successor and one awareness mask per world.
 
-A formula program is the one formula IR that both interpreters run: four
-parallel int columns (op, arg1, arg2, aux) plus the slot count, as
-checker._compile_program builds them.  Arguments are earlier nodes; aux is a
-proposition index, a quantifier slot or a 0-based agent.
+A formula program is the one formula IR that both interpreters run, as
+checker._compile_program builds it: four parallel int columns (op, arg1,
+arg2, aux), per node the mask of the propositions it mentions and the tuple
+of the quantifier slots it uses, and the slot count.  Arguments are earlier
+nodes; aux is a proposition index, a quantifier slot or a 0-based agent.  A
+program has any number of roots, one per sentence, which share the nodes
+they have in common; a run evaluates a list of roots in one go.
 
 A profile is a pair (vocab mask over propositions, truth mask over worlds);
 the truth mask is meaningful only on the worlds whose language contains the
@@ -134,33 +137,23 @@ class Kernel:
                     f"profile closure exceeded {max_profiles} profiles")
             frontier = known
 
-    def run(self, program, root):
-        """(vocab mask, truth mask) over all worlds of a program's root."""
+    def run(self, program, roots):
+        """Per root of a program, flat, its (vocab mask, truth mask) over all
+        worlds and the mask of the worlds where it is False."""
         self.load(program)
-        return self.node(root)
+        out = []
+        for root in roots:
+            v, t = self.node(root)
+            out += v, t, self.dom(v) & ~t
+        return out
 
     def load(self, program):
         """Makes program the one node() evaluates.  It and its node values
         stay loaded until another program is loaded."""
         if program is not self.program:
             self.program = program
-            self.op, self.a1, self.a2, self.aux, nslots = program
-            # per node, as in _kernel.c, one bitset of the propositions it
-            # mentions and, above them, the slots it uses
-            top = len(self.pwm)
-            self.sets = sets = []
-            for code, x, y, z in zip(self.op, self.a1, self.a2, self.aux):
-                if code > P_VAR:
-                    b = sets[x] | sets[y] if code == P_AND else sets[x]
-                    if code == P_FORALL:
-                        b &= ~(1 << (top + z))
-                elif code == P_PROP:
-                    b = 1 << z
-                else:
-                    b = 1 << (top + z) if code == P_VAR else 0
-                sets.append(b)
-            self.used = [tuple(s for s in range(nslots) if (b >> top + s) & 1)
-                         if b >> top else () for b in sets]
+            (self.op, self.a1, self.a2, self.aux, self.vocab, self.used,
+             nslots) = program
             self.env = [0] * nslots
             self.memo = {}
 
@@ -186,7 +179,7 @@ class Kernel:
             out = (v | v2, t & t2)
         elif code == P_FORALL:
             slot, body = self.aux[i], self.a1[i]
-            veff = self.sets[i] & ((1 << len(self.pwm)) - 1)
+            veff = self.vocab[i]
             for s in used:
                 veff |= self.profiles[self.env[s]][0]
             result = self.dom(veff)

@@ -8,7 +8,9 @@ decided by quotienting that set to realizable truth profiles (see kernel).
 
 Every sentence is compiled once per proposition order into a formula
 program, the one IR that both interpreters run and the witness search walks
-(see kernel); the brute-force oracle (direct_evaluate) stays independent.
+(see kernel); a Corpus compiles many sentences into one program with a root
+per sentence, which one kernel call evaluates.  The brute-force oracle
+(direct_evaluate) stays independent.
 """
 
 import weakref
@@ -32,7 +34,7 @@ __all__ = [
     "realizable_profiles",
     "stabilization_depth", "forall_witness", "ForallProbe",
     "brute_force_forall", "qf_sentences", "evaluate_hr", "direct_evaluate",
-    "OracleBudgetExceeded",
+    "OracleBudgetExceeded", "Corpus",
 ]
 
 _OPCODES = {"not": P_NOT, "and": P_AND, "K": P_K, "A": P_A, "X": P_X}
@@ -177,39 +179,90 @@ _COMPILED = {}
 
 
 def _program(m, f):
-    """(code, root) of the sentence f over m's proposition order, compiled
+    """(code, roots) of the sentence f over m's proposition order, compiled
     once per order; ValueError if f is not a sentence of m."""
     per = _COMPILED.get(id(f))
     compiled = None if per is None else per.get(m.props)
     if compiled is None:
         compiled = _compile_program(
-            f, {p: j for j, p in enumerate(m.props)})
+            [f], {p: j for j, p in enumerate(m.props)})
         if per is None:
             per = _COMPILED[id(f)] = {}
             weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
         per[m.props] = compiled
-    code, root, low, high = compiled
+    code, roots, low, high = compiled
+    _check_agents(m, low, high)
+    return code, roots
+
+
+class Corpus:
+    """Sentences compiled together, once per proposition order, into one
+    program with a root per sentence, so that one kernel call per structure
+    evaluates them all and their shared subformulas once."""
+
+    def __init__(self, sentences):
+        self.sentences = tuple(sentences)
+        self._compiled = {}
+
+    def false_masks(self, m, domain=KXA):
+        """Per sentence, the mask of m's worlds where it is False: nonzero
+        exactly when weak_counterexample finds a world, the lowest set
+        bit's.  ValueError when one of them is not a sentence of m, though
+        not always with the message weak_counterexample gives for it."""
+        compiled = self._compiled.get(m.props)
+        if compiled is None:
+            compiled = self._compiled[m.props] = _compile_program(
+                self.sentences, {p: j for j, p in enumerate(m.props)})
+        code, roots, low, high = compiled
+        _check_agents(m, low, high)
+        return _context(m, domain).kernel.run(code, roots)[2::3]
+
+
+def _check_agents(m, low, high):
     if high > m.agents or low < 1:
         raise ValueError(f"unknown agent {high if high > m.agents else low}")
-    return code, root
 
 
-def _compile_program(f, pidx):
-    """Flattens a sentence into (code, root, lowest agent, highest agent):
-    code is the program in the evaluators' format (see _kernel_py), four
-    array('i') columns plus the slot count, root the index of its last
-    node, and the agent range is (1, 0) for a sentence without modal
-    operators.  Bound variables become numbered slots; shadowing allocates a
-    fresh slot.  Raises ValueError for free variables and for propositions
-    missing from pidx."""
+def _compile_program(sentences, pidx):
+    """Flattens sentences into one program: (code, roots, lowest agent,
+    highest agent).  code is the program in the kernels' format (see
+    _kernel_py): four array('i') columns, per node the propositions it
+    mentions and the slots it uses, and the slot count.  A node is stored
+    once however often it occurs, and so is a closed quantified subformula,
+    so sentences share their common subformulas.  roots holds each
+    sentence's node as an array('i').  The agent range covers all the
+    sentences, (1, 0) without modal operators.  Each binder compiled gets a
+    slot of its own, so shadowing allocates a fresh one.  Raises ValueError
+    for free variables and for propositions missing from pidx."""
     cols = ops, a1, a2, aux = [], [], [], []
+    vocab, used = [], []
+    index, closed = {}, {}
     nslots = 0
     agents = set()
 
-    def push(*node):
-        for col, x in zip(cols, node):
-            col.append(x)
-        return len(ops) - 1
+    def push(code, x=-1, y=-1, z=-1):
+        node = (code, x, y, z)
+        i = index.get(node)
+        if i is None:
+            i = index[node] = len(ops)
+            for col, value in zip(cols, node):
+                col.append(value)
+            if code == P_PROP:
+                v, u = 1 << z, ()
+            elif code == P_VAR:
+                v, u = 0, (z,)
+            elif code == P_TOP:
+                v, u = 0, ()
+            else:
+                v, u = vocab[x], used[x]
+                if code == P_AND:
+                    v |= vocab[y]
+                    u = tuple(sorted({*u, *used[y]}))
+                elif code == P_FORALL:
+                    u = tuple(s for s in u if s != z)
+            vocab.append(v)
+            used.append(u)
+        return i
 
     def go(g, slots):
         nonlocal nslots
@@ -217,45 +270,53 @@ def _compile_program(f, pidx):
             if g.name not in pidx:
                 raise ValueError(f"formula mentions unknown propositions "
                                  f"{sorted(vocabulary(f) - set(pidx))}")
-            return push(P_PROP, -1, -1, pidx[g.name])
+            return push(P_PROP, z=pidx[g.name])
         if isinstance(g, Top):
-            return push(P_TOP, -1, -1, -1)
+            return push(P_TOP)
         if isinstance(g, Var):
             if g.name not in slots:
                 raise ValueError(f"not a sentence; free variables "
                                  f"{sorted(free_vars(f))}")
-            return push(P_VAR, -1, -1, slots[g.name])
+            return push(P_VAR, z=slots[g.name])
         if isinstance(g, Not):
-            return push(P_NOT, go(g.body, slots), -1, -1)
+            return push(P_NOT, go(g.body, slots))
         if isinstance(g, And):
             left = go(g.left, slots)
-            return push(P_AND, left, go(g.right, slots), -1)
+            return push(P_AND, left, go(g.right, slots))
         if isinstance(g, (K, A, X)):
             agents.add(g.agent)
             code = P_K if isinstance(g, K) else \
                 P_A if isinstance(g, A) else P_X
-            return push(code, go(g.body, slots), -1, g.agent - 1)
+            return push(code, go(g.body, slots), z=g.agent - 1)
         if isinstance(g, Forall):
-            s = nslots
-            nslots += 1
-            return push(P_FORALL, go(g.body, {**slots, g.var: s}), -1, s)
+            i = closed.get(g)
+            if i is None:
+                s = nslots
+                nslots += 1
+                i = push(P_FORALL, go(g.body, {**slots, g.var: s}), z=s)
+                if not used[i]:
+                    closed[g] = i
+            return i
         raise TypeError(f"not a formula: {g!r}")
 
-    root = go(f, {})
-    code = tuple(array("i", col) for col in cols) + (nslots,)
-    return code, root, min(agents, default=1), max(agents, default=0)
+    roots = array("i")
+    for f in sentences:
+        roots.append(go(f, {}))
+    code = (*(array("i", col) for col in cols), vocab, used, nslots)
+    return code, roots, min(agents, default=1), max(agents, default=0)
 
 
 def _sentence_masks(m, f, domain):
-    """Context plus whole-model (vocab, truth) masks for a sentence."""
-    code, root = _program(m, f)
+    """Context plus whole-model (vocab, truth, False-world) masks for a
+    sentence."""
+    code, roots = _program(m, f)
     ctx = _context(m, domain)
-    return (ctx,) + ctx.kernel.run(code, root)
+    return (ctx, *ctx.kernel.run(code, roots))
 
 
 def evaluate(m, world, f, domain=KXA):
     """Three-valued truth of the sentence f at a world."""
-    ctx, vocab, truth = _sentence_masks(m, f, domain)
+    ctx, vocab, truth, _ = _sentence_masks(m, f, domain)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
     return _truth_at(ctx, ctx.widx[world], vocab, truth)
@@ -263,7 +324,7 @@ def evaluate(m, world, f, domain=KXA):
 
 def satisfying_worlds(m, f, domain=KXA):
     """Worlds where the sentence f is True, in model order."""
-    ctx, vocab, truth = _sentence_masks(m, f, domain)
+    ctx, vocab, truth, _ = _sentence_masks(m, f, domain)
     mask = ctx.dom(vocab) & truth
     return [w for w in ctx.worlds if (mask >> ctx.widx[w]) & 1]
 
@@ -271,8 +332,7 @@ def satisfying_worlds(m, f, domain=KXA):
 def weak_counterexample(m, f, domain=KXA):
     """First world where f is False, or None when f is weakly valid in m
     (True or Undefined everywhere)."""
-    ctx, vocab, truth = _sentence_masks(m, f, domain)
-    bad = ctx.dom(vocab) & ~truth
+    ctx, _, _, bad = _sentence_masks(m, f, domain)
     if bad:
         return ctx.worlds[(bad & -bad).bit_length() - 1]
     return None
@@ -308,12 +368,12 @@ def forall_witness(m, world, f, domain=KXA):
     `forall x phi` the instance making phi fail, also when the quantifier is
     buried under negation, conjunction or a refuted K/X.  None when no
     quantifier is responsible."""
-    code, root = _program(m, f)
+    code, roots = _program(m, f)
     ctx = _context(m, domain)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
     ctx.kernel.load(code)
-    return _quantifier_witness(ctx, ctx.widx[world], root)
+    return _quantifier_witness(ctx, ctx.widx[world], roots[0])
 
 
 def _truth_at(ctx, w, vocab, truth):
@@ -585,7 +645,8 @@ def evaluate_hr(m, world, f, domain=KXA):
     view = m._ctx_cache.get("hr")
     if view is None:
         view = AwarenessStructure(m.agents, m.props, m.worlds,
-                                  {w: m.props for w in m.worlds}, m.val,
+                                  dict.fromkeys(m.worlds, frozenset(m.props)),
+                                  m.val,
                                   m.rel, m.aware, check=False)
         m._ctx_cache["hr"] = view
     return evaluate(view, world, f, domain)

@@ -2,7 +2,8 @@
 _kernel.c, behind NativeKernel, the native twin of _kernel_py.Kernel: one
 object per structure that takes the model encoding (n_worlds,
 prop_world_masks, prop_true, succ, aware) once, closes its profiles and runs
-programs over them (see _kernel_py).
+programs over them, all the roots of a program in one call (see
+_kernel_py).
 
 On first import _kernel.c is compiled with `cc -O2 -shared -fPIC` into the
 package's __pycache__/, under a name keyed by a hash of the source, and
@@ -70,7 +71,8 @@ def _load():
     lib.ak_close.argtypes = [model, _INT, _INT, records]
     lib.ak_free.argtypes, lib.ak_free.restype = [records], None
     lib.ak_close.restype = lib.ak_run.restype = ctypes.c_int
-    lib.ak_run.argtypes = [model] + [_PTR] * 4 + [_INT] * 3 + [_PTR]
+    lib.ak_run.argtypes = [model] + [_PTR] * 4 + [_INT] * 2 + [_PTR, _INT,
+                                                               _PTR]
     return lib, path
 
 
@@ -80,10 +82,11 @@ def _addr(buf):
 
 class NativeKernel(_kernel_py.Kernel):
     """_kernel_py.Kernel with close() and run() in C: same constructor, same
-    results, for programs whose columns are array.array buffers (see
-    checker._compile_program).  The model is marshalled into one _Model at
-    construction; close() points its profile columns at the closure's
-    output, which run() then reads."""
+    results, for programs whose columns and roots are array('i') buffers
+    (see checker._compile_program).  The model is marshalled into one _Model
+    at construction; close() points its profile columns at the closure's
+    output, which run() then reads, for all of a program's roots in one
+    call."""
 
     def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
         super().__init__(n_worlds, prop_world_masks, prop_true, succ, aware)
@@ -92,7 +95,6 @@ class NativeKernel(_kernel_py.Kernel):
                         for rows in (succ, aware)))
         self._model = _Model(n_worlds, len(prop_true), len(succ), 0,
                              *map(_addr, self._bufs))
-        self._out = (ctypes.c_uint64 * 2)()
 
     def close(self, ops, max_profiles):
         out = _Records()
@@ -114,12 +116,14 @@ class NativeKernel(_kernel_py.Kernel):
         model.prof_v, model.prof_f = map(_addr, self._prof)
         return list(zip(*cols[:6])), cols[6]
 
-    def run(self, program, root):
-        op, a1, a2, aux, nslots = program
+    def run(self, program, roots):
+        op, a1, a2, aux, _, _, nslots = program
+        out = array("Q", bytes(24 * len(roots)))
         if _lib.ak_run(self._model, _addr(op), _addr(a1), _addr(a2),
-                       _addr(aux), len(op), nslots, root, self._out):
+                       _addr(aux), len(op), nslots, _addr(roots), len(roots),
+                       _addr(out)):
             raise MemoryError("formula program")
-        return self._out[0], self._out[1]
+        return out.tolist()
 
 
 try:

@@ -42,6 +42,14 @@ class AwarenessStructure:
     lang/val/aware store vocabularies as frozensets; by generation from
     primitive propositions, the awareness vocabulary A_i(s) determines the
     full sentence set the agent is aware of.
+
+    With check=True the inputs are copied, frozen and validated.  With
+    check=False they are adopted as given, which must be their frozen form:
+    props and worlds as tuples, lang and val as dicts from world to
+    frozenset, rel as a dict from agent to a frozenset of (world, world)
+    tuples, aware as a dict from agent to a dict from world to frozenset.
+    Such a structure shares these maps with its caller, and neither may
+    change them.
     """
 
     __slots__ = ("agents", "props", "worlds", "lang", "val", "rel", "aware",
@@ -52,15 +60,17 @@ class AwarenessStructure:
         self.agents = int(agents)
         self.props = tuple(props)
         self.worlds = tuple(worlds)
+        self._ctx_cache = {}
+        if not check:
+            self.lang, self.val, self.rel, self.aware = lang, val, rel, aware
+            return
         self.lang = {w: frozenset(lang[w]) for w in self.worlds}
         self.val = {w: frozenset(val[w]) for w in self.worlds}
         self.rel = {i: frozenset(tuple(p) for p in rel[i])
                     for i in range(1, self.agents + 1)}
         self.aware = {i: {w: frozenset(aware[i][w]) for w in self.worlds}
                       for i in range(1, self.agents + 1)}
-        self._ctx_cache = {}
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         if self.agents < 1:

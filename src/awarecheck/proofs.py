@@ -10,9 +10,9 @@ atoms and truth-tabling.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
+from itertools import compress, count
 
-from .checker import K_ONLY, KXA, XA, weak_counterexample
+from .checker import K_ONLY, KXA, XA, Corpus, weak_counterexample
 from .fuzz import random_formula, random_qf_sentence, random_tautology
 from .syntax import (TOP, A, And, AStar, Forall, Formula, Iff, Implies, K,
                      Not, Prop, Top, Var, X, free_vars, is_quantifier_free,
@@ -703,19 +703,25 @@ def soundness_sweep(system, models, *, seed=0, rng=None,
         for name in sorted(system.schemas)
     }
     report.instances = {name: len(insts) for name, insts in corpus.items()}
+    named = [(name, inst) for name, insts in corpus.items() for inst in insts]
+    batch = Corpus(inst for _, inst in named)
     m = first
     while m is not None:
         report.models_checked += 1
-        pool = []
-        for name, insts in corpus.items():
-            for inst in insts:
-                world = weak_counterexample(m, inst, domain)
-                if world is not None:
-                    report.violations.append(
-                        SweepViolation("axiom", name, m, inst, world))
-                else:
-                    pool.append(inst)
+        try:
+            flags = batch.false_masks(m, domain)
+        except ValueError:
+            # some instance is not a sentence of m: weak_counterexample
+            # raises for the first one as it would alone
+            flags = [1] * len(named)
+        for name, inst in compress(named, flags):
+            # the report's world comes from the one-sentence path
+            world = weak_counterexample(m, inst, domain)
+            if world is not None:
+                report.violations.append(
+                    SweepViolation("axiom", name, m, inst, world))
         if check_rules:
+            pool = [inst for (_, inst), flag in zip(named, flags) if not flag]
             _check_rules_on_model(system, m, domain, rng, pool, rule_samples,
                                   report)
         m = next(models, None)

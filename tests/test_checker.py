@@ -5,7 +5,9 @@ import weakref
 
 import pytest
 
-from awarecheck.checker import (KXA, XA, OracleBudgetExceeded, Truth,
+from awarecheck.checker import (KXA, XA, Corpus, OracleBudgetExceeded,
+                                QuantifierDomain, Truth, _compile_program,
+                                _context, _quantifier_witness, _truth_at,
                                 brute_force_forall, direct_evaluate,
                                 evaluate, evaluate_hr, forall_witness,
                                 qf_sentences, realizable_profiles,
@@ -368,3 +370,52 @@ def test_memoization_consistency():
     first = [evaluate(m, w, f) for w in m.worlds]
     second = [evaluate(m, w, f) for w in m.worlds]
     assert first == second
+
+
+CORPUS = [  # repeated closed subformulas, one body under two binders,
+            # shadowed variables and `true`
+    "forall #x . A1 #x",
+    "p & forall #x . A1 #x",
+    "forall #y . A1 #y",
+    "!(forall #x . A1 #x) | K1 (forall #x . A1 #x)",
+    "forall #x . (#x & forall #x . !#x)",
+    "forall #x . forall #y . (#x | K1 #y)",
+    "forall #y . forall #x . (#x | K1 #y)",
+    "true & K1 (p | q)",
+    "K1 (p | q) -> forall #y . (true | #y)",
+    "!K1 (forall #x . (A1 #x -> K1 #x)) & X1 q",
+]
+
+
+def test_corpus_program_shares_nodes():
+    # one program for the corpus is smaller than its one-sentence programs
+    # together, and every root answers as its sentence does alone
+    sentences = [parse(text, 1) for text in CORPUS]
+    pidx = {"p": 0, "q": 1}
+    code, roots, low, high = _compile_program(sentences, pidx)
+    alone = [_compile_program([f], pidx)[0] for f in sentences]
+    assert len(code[0]) < sum(len(c[0]) for c in alone)
+    assert code[-1] < sum(c[-1] for c in alone)
+    assert (low, high) == (1, 1)
+    corpus = Corpus(sentences)
+    domains = [KXA, XA, QuantifierDomain(include_top=True)]
+    for seed in range(12):
+        m = generate_random(1, 2 + seed % 3, ["p", "q"], frozenset(),
+                            seed=seed)
+        for domain in domains:
+            ctx = _context(m, domain)
+            out = ctx.kernel.run(code, roots)
+            ctx.kernel.load(code)
+            witnesses = [[_quantifier_witness(ctx, w, root)
+                          for w in range(len(m.worlds))] for root in roots]
+            assert corpus.false_masks(m, domain) == out[2::3]
+            for k, f in enumerate(sentences):
+                vocab, truth, bad = out[3 * k:3 * k + 3]
+                assert [_truth_at(ctx, w, vocab, truth)
+                        for w in range(len(m.worlds))] == \
+                    [evaluate(m, w, f, domain) for w in m.worlds]
+                world = weak_counterexample(m, f, domain)
+                assert world == (m.worlds[(bad & -bad).bit_length() - 1]
+                                 if bad else None)
+                assert witnesses[k] == [forall_witness(m, w, f, domain)
+                                        for w in m.worlds]

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from awarecheck import checker, kernel
 from awarecheck._kernel_py import Kernel
-from awarecheck.checker import (KXA, XA, QuantifierDomain, _context, _program,
-                                evaluate, forall_witness, weak_counterexample)
+from awarecheck.checker import (KXA, XA, QuantifierDomain, _compile_program,
+                                _context, _program, evaluate, forall_witness,
+                                weak_counterexample)
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import AwarenessStructure, generate_random
 from awarecheck.syntax import (TOP, A, And, Forall, K, Not, Prop, Var, X,
@@ -49,9 +50,15 @@ def _closures_agree(m, domain):
 
 def _evaluators_agree(m, kernels, formulas):
     pure, native = kernels
+    alone = []
     for f in formulas:
         program = _program(m, f)
-        assert native.run(*program) == pure.run(*program), f
+        alone += native.run(*program)
+        assert alone[-3:] == pure.run(*program), f
+    # all of them as one program with a root per formula
+    code, roots, _, _ = _compile_program(
+        formulas, {p: j for j, p in enumerate(m.props)})
+    assert native.run(code, roots) == pure.run(code, roots) == alone
 
 
 def _conjunction(parts):
@@ -102,10 +109,11 @@ def test_backends_agree_past_former_limits():
         random_sentence(rng, m.props, m.agents, max_depth=4,
                         quantifier_prob=0.3) for _ in range(20)])
 
+    # 600 conjuncts: the compiler stores their shared subformulas once
     m = generate_random(2, 4, ["p", "q"], frozenset(), seed=11)
     big = _conjunction([random_sentence(rng, m.props, m.agents, max_depth=4,
                                         quantifier_prob=0.4)
-                        for _ in range(300)])
+                        for _ in range(600)])
     code, _ = _program(m, big)
     assert len(code[0]) > 1024 and code[-1] > 64
     _evaluators_agree(m, _closures_agree(m, KXA), [big])

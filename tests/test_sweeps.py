@@ -1,10 +1,16 @@
 import random
 
-from awarecheck.checker import weak_counterexample, weakly_valid
+import pytest
+
+from awarecheck import checker, kernel
+from awarecheck._kernel_py import Kernel
+from awarecheck.checker import (Corpus, _context, weak_counterexample,
+                                weakly_valid)
 from awarecheck.model import (AwarenessStructure, enumerate_models,
                               generate_random)
 from awarecheck.proofs import (SYSTEMS, instantiate, parse_system,
-                               search_schema_violation, soundness_sweep)
+                               schema_instances, search_schema_violation,
+                               soundness_sweep)
 from awarecheck.syntax import (A, And, Implies, K, Not, Prop, Var, X, parse,
                                pretty)
 
@@ -172,3 +178,57 @@ def test_astar_aprime_divergence_model():
     from awarecheck.syntax import APrime, AStar
     assert evaluate(m, "s", AStar(1, Prop("p"))).value == "True"
     assert evaluate(m, "s", APrime(1, Prop("p"))).value == "False"
+
+
+def _sweep_corpus(system, seed, per_schema, props=("p", "q"), agents=1):
+    """(schema, instance) pairs in the order soundness_sweep checks them."""
+    rng = random.Random(seed)
+    return [(name, inst) for name in sorted(system.schemas)
+            for inst in schema_instances(rng, name, props, agents, system,
+                                         per_schema, 3)]
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_batched_sweep_matches_one_sentence_path(pure, monkeypatch):
+    # one kernel call per structure flags exactly the instances that
+    # weak_counterexample finds False one by one, on rte structures, on
+    # structures of no class (where T, 4 and 5_star fail) and on one with
+    # another proposition order
+    if pure:
+        monkeypatch.setattr(checker, "NativeKernel", Kernel)
+    backend = Kernel if pure or kernel.BACKEND != "c" else \
+        kernel.NativeKernel
+    system = parse_system("AXe_KXAAstarforall+T45star")
+    domain = system.domain
+    named = _sweep_corpus(system, 8, 4)
+    corpus = Corpus(inst for _, inst in named)
+    models = rte_models(30) + class_models("", 30, start=200) + \
+        [generate_random(1, 3, ("q", "p"), frozenset(), seed=5)]
+    expected, failed = [], set()
+    for m in models:
+        masks = corpus.false_masks(m, domain)
+        assert type(_context(m, domain).kernel) is backend
+        assert len(masks) == len(named)
+        for (name, inst), mask in zip(named, masks):
+            world = weak_counterexample(m, inst, domain)
+            assert world == (m.worlds[(mask & -mask).bit_length() - 1]
+                             if mask else None), (name, inst)
+            if world is not None:
+                expected.append((name, m, inst, world))
+                failed.add(name)
+    assert {"T", "4", "5_star"} <= failed
+
+    report = soundness_sweep(system, models, seed=8, instances_per_schema=4)
+    assert [(v.name, v.model, v.formula, v.world)
+            for v in report.violations] == expected
+
+    # a structure without q: the sweep raises what weak_counterexample
+    # raises for the first instance that mentions q
+    lacking = generate_random(1, 2, ("p",), frozenset("rte"), seed=1)
+    with pytest.raises(ValueError) as alone:
+        for _, inst in named:
+            weak_counterexample(lacking, inst, domain)
+    with pytest.raises(ValueError) as swept:
+        soundness_sweep(system, models[:2] + [lacking], seed=8,
+                        instances_per_schema=4)
+    assert str(swept.value) == str(alone.value)
