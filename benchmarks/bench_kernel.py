@@ -1,9 +1,12 @@
 """Benchmarks the native kernel class against its pure-Python twin: the
 profile closure, and the two interpreters running the same formula programs;
 then one closure of a 12-world, 6-proposition random structure (5404
-profiles) on each backend; then the c4 sweep's instance corpus (about 60
-sentences) on one rte structure, as one program per sentence run one by one
-against one program with a root per sentence run once.
+profiles) on each backend, in full and over vocabulary classes, and the
+same two closures, on the native backend only when it is built, of 48
+seeded random structures with 2-3 agents, 6-8 worlds and 3-4 propositions;
+then the c4 sweep's instance corpus (about 60 sentences) on one rte
+structure, as one program per sentence run one by one against one program
+with a root per sentence run once.
 
 Run:  python3 benchmarks/bench_kernel.py [--seconds 2]
 """
@@ -84,10 +87,25 @@ def main():
 
     large = encoding(generate_random(2, 12, list("pqrstu"), seed=1))
     for name, cls in CLASSES:
+        for mode, classes in (("full", 0), ("classes", 1)):
+            t0 = time.perf_counter()
+            records, _ = cls(*large).close(KXA.opcodes, 4_000_000, classes)
+            print(f"12 worlds, 6 props, {name + ':':7} {mode:8} "
+                  f"{len(records):5} profiles in "
+                  f"{time.perf_counter() - t0:.3f} s")
+
+    rng = random.Random(2009)
+    medium = [encoding(generate_random(
+        rng.randint(2, 3), rng.randint(6, 8),
+        ("p", "q", "r", "s")[:rng.randint(3, 4)], seed=rng.randrange(2 ** 31)))
+        for _ in range(48)]
+    name, cls = CLASSES[-1]
+    for mode, classes in (("full", 0), ("classes", 1)):
         t0 = time.perf_counter()
-        records, _ = cls(*large).close(KXA.opcodes, 4_000_000)
-        print(f"12 worlds, 6 props, {name + ':':7} {len(records)} profiles "
-              f"in {time.perf_counter() - t0:.3f} s")
+        n = sum(len(cls(*inp).close(KXA.opcodes, 4_000_000, classes)[0])
+                for inp in medium)
+        print(f"48 structures, 6-8 worlds, {name + ':':7} {mode:8} "
+              f"{n:6} profiles in {time.perf_counter() - t0:.3f} s")
 
     # c4's corpus: AXe_KXAAstarforall+T45star, 4 instances per schema of
     # depth 3, seed 43

@@ -9,7 +9,11 @@ themselves: the same `gen` for seeds 0-199 under every class, and every
 `sweep --json` for every system of SWEEPS over rte structures and over
 structures of no class, where schemas such as T, 4 and 5_star fail, with
 and without --check-rules, for three seeds; the rte runs also sweep the
-enumerated structures of up to 2 worlds.
+enumerated structures of up to 2 worlds.  Last, `eval --json` of 8 seeded
+quantified sentences each (a quantifier over a quantifier-free body, or
+nested quantifiers) on 36 `gen` structures with 2-3 agents, 6-8 worlds and
+3-4 propositions, where the vocabulary classes of the quantifier's domain
+merge many profiles.
 
 Run:  PYTHONPATH=src python3 benchmarks/dump_outputs.py OUT.txt
       (then diff OUT.txt against the same run in another checkout)
@@ -24,9 +28,9 @@ import tempfile
 
 from awarecheck import kernel
 from awarecheck.cli import main
-from awarecheck.fuzz import random_sentence
+from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import load_model
-from awarecheck.syntax import pretty
+from awarecheck.syntax import TOP, Forall, is_quantifier_free, pretty
 
 VARIANTS = ([], ["--include-top"], ["--domain", "XA"],
             ["--domain", "XA", "--include-top"])
@@ -93,6 +97,29 @@ def dump(out, tmp):
                             "--json"]
                     code, text = call(*argv)
                     out.write(f"{argv} {code} {text}")
+    rng = random.Random(2009)
+    for n in range(36):
+        path = os.path.join(tmp, f"b{n}.json")
+        call("gen", "--agents", str(rng.randint(2, 3)), "--worlds",
+             str(rng.randint(6, 8)), "--props", "p,q,r,s"[:2 * rng.randint(
+                 3, 4) - 1], "--seed", str(n), "--out", path)
+        m = load_model(path)
+        for k in range(8):
+            if k % 2:
+                f = TOP
+                while is_quantifier_free(f):
+                    f = random_sentence(rng, m.props, m.agents, max_depth=4,
+                                        quantifier_prob=0.4,
+                                        allow_top=(k % 3 == 0))
+            else:
+                f = Forall("x", random_open_formula(rng, m.props, m.agents,
+                                                    "x", max_depth=3))
+            world = rng.choice(m.worlds)
+            variant = VARIANTS[(n + k) % 4]
+            code, text = call("eval", path, world, pretty(f), "--json",
+                              *variant)
+            out.write(f"b{n}.json {world} {variant} {code} "
+                      f"{text.replace(path, f'b{n}.json')}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,15 @@
    64 propositions (the caller checks); every other size comes from the
    inputs.  A program (see _kernel_py) may have many roots, one per
    sentence, sharing their common nodes; ak_run evaluates all of them in
-   one call.  Python owns the input buffers; the only memory that outlives
-   a call is ak_close's output, which the caller copies and then releases
-   with ak_free. */
+   one call.  ak_close keys its records either by vocabulary, which gives
+   every (vocabulary, truth) pair, or by vocabulary class (see cl), which
+   gives one record per class and truth and the same verdicts from ak_run.
+   The checker closes a structure only when a program with quantifier slots
+   is to run (over classes) or a caller reads the profiles themselves (in
+   full); ak_run must not see a program with slots before ak_close ran.
+   Python owns the input buffers; the only memory that outlives a call is
+   ak_close's output, which the caller copies and then releases with
+   ak_free. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -52,20 +58,59 @@ static VF step(const Model *m, int code, int64_t agent, VF x, VF y) {
     return out;
 }
 
-/* Records as parallel columns (vocab, truth, op, arg1, arg2, aux, layer, the
-   last five holding int64 values), an open-addressing hash set over their
-   (vocab, truth) pairs (record index + 1 per slot, 0 when empty), and a
-   flag set when memory ran out.  Mirrored by kernel._Records. */
+/* Records as parallel columns (vocab, truth, op, arg1, arg2, aux, layer,
+   key, the middle five holding int64 values), an open-addressing hash set
+   over their (key, truth) pairs (record index + 1 per slot, 0 when empty),
+   and a flag set when memory ran out.  A record's key is its vocabulary, or
+   the vocabulary's class.  Mirrored by kernel._Records. */
+enum { C_VOCAB, C_TRUTH, C_KEY = 7, NCOLS };
 typedef struct {
     int64_t count, cap;
-    uint64_t *col[7];
+    uint64_t *col[NCOLS];
     int64_t *table;
     uint64_t mask;
     int64_t failed;
 } Records;
 
-static uint64_t slot_of(const Records *r, uint64_t vocab, uint64_t truth) {
-    uint64_t h = vocab * 0x9E3779B97F4A7C15u ^ truth;
+/* The vocabulary classes of a model: cl(v) is the intersection of all its
+   propositions with every world's language and every awareness set that
+   contains v, the largest vocabulary that lies in the same languages and
+   awareness sets as v.  Every step reads a vocabulary only through those,
+   so records with the same class and truth are interchangeable.  sets holds
+   the n languages and awareness sets as proposition masks; memo, when the
+   model has few enough propositions, holds cl(v) + 1 per v once known. */
+typedef struct {
+    uint64_t all, *sets, *memo;
+    int64_t n;
+} Classes;
+
+static uint64_t cl(Classes *c, uint64_t vocab) {
+    if (c->memo && c->memo[vocab]) return c->memo[vocab] - 1;
+    uint64_t out = c->all;
+    for (int64_t k = 0; k < c->n; k++)
+        if (!(vocab & ~c->sets[k])) out &= c->sets[k];
+    if (c->memo) c->memo[vocab] = out + 1;
+    return out;
+}
+
+/* Fills c for m; 1 when out of memory. */
+static int classes_of(Classes *c, const Model *m) {
+    int64_t nw = m->n_worlds, n = nw * (1 + m->n_agents);
+    c->all = m->n_props >= 64 ? ~(uint64_t)0 : BIT(m->n_props) - 1;
+    c->sets = calloc(n + 1, sizeof *c->sets);
+    c->memo = m->n_props <= 16 ? calloc(BIT(m->n_props), sizeof *c->memo)
+                               : NULL;
+    if (!c->sets || (m->n_props <= 16 && !c->memo)) return 1;
+    c->n = n;
+    for (int64_t j = 0; j < m->n_props; j++)
+        for (int64_t w = 0; w < nw; w++)
+            if (m->pwm[j] >> w & 1) c->sets[w] |= BIT(j);
+    for (int64_t k = nw; k < c->n; k++) c->sets[k] = m->aware[k - nw];
+    return 0;
+}
+
+static uint64_t slot_of(const Records *r, uint64_t key, uint64_t truth) {
+    uint64_t h = key * 0x9E3779B97F4A7C15u ^ truth;
     h = (h ^ h >> 33) * 0xFF51AFD7ED558CCDu;
     return (h ^ h >> 33) & r->mask;
 }
@@ -78,57 +123,64 @@ static int rehash(Records *r, uint64_t size) {
     r->table = table;
     r->mask = size - 1;
     for (int64_t k = 0; k < r->count; k++) {
-        uint64_t h = slot_of(r, r->col[0][k], r->col[1][k]);
+        uint64_t h = slot_of(r, r->col[C_KEY][k], r->col[C_TRUTH][k]);
         while (table[h]) h = (h + 1) & r->mask;
         table[h] = k + 1;
     }
     return 0;
 }
 
-/* Appends a record unless its (vocab, truth) pair is known. */
-static void add(Records *r, uint64_t vocab, uint64_t truth, int64_t op,
-                int64_t a1, int64_t a2, int64_t aux, int64_t layer) {
+/* Appends a record unless its (key, truth) pair is known. */
+static void add(Records *r, uint64_t key, uint64_t vocab, uint64_t truth,
+                int64_t op, int64_t a1, int64_t a2, int64_t aux,
+                int64_t layer) {
     if (r->failed) return;
-    uint64_t h = slot_of(r, vocab, truth);
+    uint64_t h = slot_of(r, key, truth);
     for (; r->table[h]; h = (h + 1) & r->mask) {
         int64_t k = r->table[h] - 1;
-        if (r->col[0][k] == vocab && r->col[1][k] == truth) return;
+        if (r->col[C_KEY][k] == key && r->col[C_TRUTH][k] == truth) return;
     }
     if (r->count == r->cap) {
         r->cap = r->cap ? 2 * r->cap : 256;
-        for (int j = 0; j < 7 && !r->failed; j++) {
+        for (int j = 0; j < NCOLS && !r->failed; j++) {
             uint64_t *grown = realloc(r->col[j], r->cap * sizeof *grown);
             r->failed = !grown;
             r->col[j] = grown ? grown : r->col[j];
         }
         if (r->failed) return;
     }
-    uint64_t row[7] = {vocab, truth, (uint64_t)op, (uint64_t)a1,
-                       (uint64_t)a2, (uint64_t)aux, (uint64_t)layer};
-    for (int j = 0; j < 7; j++) r->col[j][r->count] = row[j];
+    uint64_t row[NCOLS] = {vocab, truth, (uint64_t)op, (uint64_t)a1,
+                           (uint64_t)a2, (uint64_t)aux, (uint64_t)layer, key};
+    for (int j = 0; j < NCOLS; j++) r->col[j][r->count] = row[j];
     r->table[h] = ++r->count;
     if (2 * (uint64_t)r->count > r->mask)
         r->failed = rehash(r, 2 * r->mask + 2);
 }
 
 /* Adds the record of P_NOT, or of P_K, P_A or P_X of a 0-based agent,
-   applied to record i. */
+   applied to record i, whose vocabulary and so whose key it keeps. */
 static void apply(Records *r, const Model *m, int code, int64_t agent,
                   int64_t i, int64_t layer) {
-    VF x = {r->col[0][i], r->col[1][i]}, y = step(m, code, agent, x, x);
-    add(r, y.v, y.f, code, i, -1, agent, layer);
+    VF x = {r->col[C_VOCAB][i], r->col[C_TRUTH][i]};
+    VF y = step(m, code, agent, x, x);
+    add(r, r->col[C_KEY][i], y.v, y.f, code, i, -1, agent, layer);
 }
 
 /* Least fixpoint of the profile closure into r, which must be zeroed, under
-   the opcodes set in the bitmask ops.  Returns 0, 1 when the closure
+   the opcodes set in the bitmask ops.  With classes set, records are keyed
+   by (cl(vocab), truth), and each keeps the vocabulary and node it was
+   first found with; else by (vocab, truth).  Returns 0, 1 when the closure
    exceeded max_profiles, or -1 when out of memory. */
-int ak_close(const Model *m, int64_t ops, int64_t max_profiles, Records *r) {
+int ak_close(const Model *m, int64_t ops, int64_t max_profiles,
+             int64_t classes, Records *r) {
     int64_t known = 0;
-    r->failed = rehash(r, 1024);
+    Classes c = {0, NULL, NULL, 0};
+    r->failed = rehash(r, 1024) || (classes && classes_of(&c, m));
     for (int64_t j = 0; j < m->n_props; j++)
-        add(r, BIT(j), m->ptrue[j], P_PROP, -1, -1, j, 0);
+        add(r, classes ? cl(&c, BIT(j)) : BIT(j), BIT(j), m->ptrue[j],
+            P_PROP, -1, -1, j, 0);
     if (HAS(ops, P_TOP))
-        add(r, 0, dom(m, 0), P_TOP, -1, -1, -1, 0);
+        add(r, classes ? cl(&c, 0) : 0, 0, dom(m, 0), P_TOP, -1, -1, -1, 0);
     for (int64_t layer = 1; !r->failed; layer++) {
         int64_t frontier = known;
         known = r->count;
@@ -146,19 +198,24 @@ int ak_close(const Model *m, int64_t ops, int64_t max_profiles, Records *r) {
         for (int64_t i = frontier; i < known && HAS(ops, P_AND); i++)
             for (int64_t i2 = frontier ? 0 : i + 1; i2 < known;
                  i2 = i2 + 1 == frontier ? i + 1 : i2 + 1) {
-                VF y = step(m, P_AND, -1, (VF){r->col[0][i], r->col[1][i]},
-                            (VF){r->col[0][i2], r->col[1][i2]});
-                add(r, y.v, y.f, P_AND, i, i2, -1, layer);
+                VF y = step(m, P_AND, -1,
+                            (VF){r->col[C_VOCAB][i], r->col[C_TRUTH][i]},
+                            (VF){r->col[C_VOCAB][i2], r->col[C_TRUTH][i2]});
+                uint64_t key = r->col[C_KEY][i] | r->col[C_KEY][i2];
+                add(r, classes ? cl(&c, key) : key, y.v, y.f, P_AND, i, i2,
+                    -1, layer);
             }
         if (r->count == known || r->count > max_profiles) break;
     }
+    free(c.sets);
+    free(c.memo);
     free(r->table);
     r->table = NULL;
     return r->failed ? -1 : r->count > known;
 }
 
 void ak_free(Records *r) {
-    for (int j = 0; j < 7; j++) free(r->col[j]);
+    for (int j = 0; j < NCOLS; j++) free(r->col[j]);
 }
 
 /* A program being run: its columns, per node a bitset of `words` words

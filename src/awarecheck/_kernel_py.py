@@ -22,11 +22,22 @@ quantifier-free sentence, which is what the quantifier clause ranges over.
 A closure record is a program node with its profile in front, so the records
 up to k form a program whose node k is profile k's witness.
 
+The closure runs in one of two modes.  Keyed by (vocab, truth) it is full:
+every profile, as realizable_profiles and the stabilization depth need.
+Keyed by (vocab_class(vocab), truth) it keeps one record per vocabulary
+class and truth map, with the vocabulary and node first found for it.
+Every step reads a vocabulary only through dom() and the awareness test,
+which see no difference within a class, so the interpreter gives the same
+verdicts over either; the checker uses the class closure for evaluation and
+closes nothing for a program without quantifier slots.  A kernel that was
+never closed refuses to load such a program.
+
 These are the reference kernels: _kernel.c implements both natively, bit for
 bit the same, and kernel.NativeKernel runs it; the checker uses Kernel when
 the native kernel is not built or a structure's masks do not fit it.
 """
 
+from functools import cached_property
 from itertools import chain, count
 
 P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
@@ -50,8 +61,9 @@ class Kernel:
         self.ptrue = prop_true
         self.succ = succ
         self.aware = aware
-        self.profiles = []
+        self.profiles = None  # until close()
         self.dom_cache = {0: (1 << n_worlds) - 1}
+        self.class_cache = {}
         self.program = None
 
     def dom(self, vocab):
@@ -83,15 +95,44 @@ class Kernel:
                     g &= ~(1 << w)
         return v, g
 
-    def close(self, ops, max_profiles):
+    def vocab_class(self, vocab):
+        """cl(vocab): all the propositions, intersected with every world's
+        language and every awareness set that contains vocab.  It is the
+        largest vocabulary in the same languages and awareness sets, which
+        are all that dom() and step() read of a vocabulary."""
+        got = self.class_cache.get(vocab)
+        if got is None:
+            got = (1 << len(self.pwm)) - 1
+            for s in self.class_sets:
+                if not vocab & ~s:
+                    got &= s
+            self.class_cache[vocab] = got
+        return got
+
+    @cached_property
+    def class_sets(self):
+        """Every world's language, then every awareness set, as proposition
+        masks."""
+        return [sum(1 << j for j, ws in enumerate(self.pwm) if (ws >> w) & 1)
+                for w in range(self.n_worlds)] + \
+            [vocab for row in self.aware for vocab in row]
+
+    def close(self, ops, max_profiles, classes=0):
         """Least fixpoint of the profile closure under the opcodes set in the
         bitmask ops (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), with BFS
-        layers; its profiles become the quantifier's domain.  Returns (records, layers) where records[i] = (vocab_mask,
-        truth_mask, op, arg1, arg2, aux) and layers[i] is the minimal
-        witness depth (seeds are 0).  (op, arg1, arg2, aux) is a program
-        node over earlier records.
+        layers; its profiles become the quantifier's domain.  Returns
+        (records, layers) where records[i] = (vocab_mask, truth_mask, op,
+        arg1, arg2, aux) and layers[i] is the minimal witness depth (seeds
+        are 0).  (op, arg1, arg2, aux) is a program node over earlier
+        records.
+
+        Records are keyed by (vocab, truth), or with classes set by
+        (vocab_class(vocab), truth), each keeping the vocabulary and node it
+        was first found with: one record per class and truth map, which
+        gives the interpreter the same verdicts from fewer profiles.
         """
         step = self.step
+        key_of = self.vocab_class
         # per new record: NOT, then K and X per agent, then A per agent
         agents = range(len(self.succ))
         unary = [(P_NOT, -1)]
@@ -99,38 +140,46 @@ class Kernel:
         unary += [(P_A, ai) for ai in agents]
         unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
         records = []
+        keys = []
         layers = []
-        index = {}
+        index = set()
 
-        def add(profile, op, a1, a2, aux, layer):
-            if profile not in index:
-                index[profile] = len(records)
-                records.append((*profile, op, a1, a2, aux))
+        def add(key_truth, vocab, op, a1, a2, aux, layer):
+            if key_truth not in index:
+                index.add(key_truth)
+                records.append((vocab, key_truth[1], op, a1, a2, aux))
+                keys.append(key_truth[0])
                 layers.append(layer)
 
         for j, truth in enumerate(self.ptrue):
-            add((1 << j, truth), P_PROP, -1, -1, j, 0)
+            key = key_of(1 << j) if classes else 1 << j
+            add((key, truth), 1 << j, P_PROP, -1, -1, j, 0)
         if (ops >> P_TOP) & 1:
-            add((0, self.dom(0)), P_TOP, -1, -1, -1, 0)
+            key = key_of(0) if classes else 0
+            add((key, self.dom(0)), 0, P_TOP, -1, -1, -1, 0)
 
         frontier = 0
         for layer in count(1):
             known = len(records)
             for i in range(frontier, known):
-                x = records[i][:2]
-                for code, ai in unary:
-                    add(step(code, ai, x), code, i, -1, ai, layer)
+                x, key = records[i][:2], keys[i]
+                for code, ai in unary:  # each keeps the vocabulary
+                    add((key, step(code, ai, x)[1]), x[0], code, i, -1, ai,
+                        layer)
             if (ops >> P_AND) & 1:
                 # new conjunctions need an argument from the last layer;
                 # (i, i2) with frontier <= i2 <= i repeats (i2, i) or i
                 for i in range(frontier, known):
                     v, t = records[i][:2]
+                    key = keys[i]
                     for i2 in chain(range(frontier), range(i + 1, known)):
                         rec2 = records[i2]
-                        add((v | rec2[0], t & rec2[1]), P_AND, i, i2, -1,
-                            layer)
+                        union = v | rec2[0]
+                        add((key_of(key | keys[i2]) if classes else union,
+                             t & rec2[1]), union, P_AND, i, i2, -1, layer)
             if len(records) == known:
-                self.profiles = list(index)
+                self.profiles = [rec[:2] for rec in records]
+                self.program = None  # node values over former profiles
                 return records, layers
             if len(records) > max_profiles:
                 raise RuntimeError(
@@ -151,6 +200,8 @@ class Kernel:
         """Makes program the one node() evaluates.  It and its node values
         stay loaded until another program is loaded."""
         if program is not self.program:
+            if program[6] and self.profiles is None:
+                raise RuntimeError("quantified program on an unclosed kernel")
             self.program = program
             (self.op, self.a1, self.a2, self.aux, self.vocab, self.used,
              nslots) = program

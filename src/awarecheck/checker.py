@@ -4,7 +4,10 @@ A sentence is Undefined at a world exactly when its vocabulary is not
 contained in the world's language; otherwise the usual clauses apply, with
 K_i phi counting an Undefined successor as a failure.  The propositional
 quantifier ranges over an infinite set of quantifier-free sentences; it is
-decided by quotienting that set to realizable truth profiles (see kernel).
+decided by quotienting that set to realizable truth profiles (see kernel),
+and, for evaluation, further to one profile per vocabulary class and truth
+map.  A structure's profiles are closed only when a quantified sentence or
+a reader of the profiles needs them (see _context).
 
 Every sentence is compiled once per proposition order into a formula
 program, the one IR that both interpreters run and the witness search walks
@@ -37,6 +40,8 @@ __all__ = [
     "OracleBudgetExceeded", "Corpus",
 ]
 
+# the closure's modes (see _kernel_py.Kernel.close)
+_FULL, _CLASSES = 0, 1
 _OPCODES = {"not": P_NOT, "and": P_AND, "K": P_K, "A": P_A, "X": P_X}
 _ALLOWED_OPS = frozenset(_OPCODES)
 _MODAL = {P_K: K, P_A: A, P_X: X}
@@ -101,9 +106,12 @@ class OracleBudgetExceeded(RuntimeError):
 
 class _Context:
     """Per-(structure, domain) evaluation state: one kernel holding the
-    bitmask encoding and the closed profiles, and the closure's records."""
+    bitmask encoding and, once close() has run, the closed profiles, and the
+    closure's records.  classes is None before the closure, else its mode,
+    _CLASSES or _FULL."""
 
     def __init__(self, m, domain):
+        self.domain = domain
         self.worlds = m.worlds
         self.props = m.props
         self.widx = widx = {w: i for i, w in enumerate(m.worlds)}
@@ -127,10 +135,20 @@ class _Context:
         native = BACKEND == "c" and max(nw, len(m.props)) <= MASK_BITS
         self.kernel = (NativeKernel if native else _kernel_py.Kernel)(
             *encoding)
-        self.records, self.layers = close_profiles(self.kernel, domain)
-        self.stab_depth = max(self.layers, default=0)
-        self._witnesses = {}
+        self.classes = self.records = self.layers = self.stab_depth = None
         self.dom = self.kernel.dom
+
+    def close(self, classes):
+        """Closes the profiles in the mode classes, _CLASSES or _FULL, unless
+        they are closed at least that finely.  A full closure replaces a
+        class closure, and with it the witnesses, which are keyed by record
+        index."""
+        if self.classes is None or classes < self.classes:
+            self.records, self.layers = close_profiles(self.kernel,
+                                                       self.domain, classes)
+            self.classes = classes
+            self.stab_depth = max(self.layers, default=0)
+            self._witnesses = {}
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
@@ -159,17 +177,25 @@ class _Context:
         return got
 
 
-def close_profiles(kernel, domain):
-    """(records, layers) of the domain's profile closure on a kernel, whose
-    quantifiers then range over the closed profiles."""
-    return kernel.close(domain.opcodes, 4_000_000)
+def close_profiles(kernel, domain, classes):
+    """(records, layers) of the domain's profile closure on a kernel, in the
+    mode classes, whose quantifiers then range over the closed profiles."""
+    return kernel.close(domain.opcodes, 4_000_000, classes)
 
 
-def _context(m, domain):
+def _context(m, domain, code=None, full=False):
+    """m's context under the domain, closed as far as its caller needs: in
+    full for a caller that reads the profiles themselves (full), over
+    vocabulary classes before a program with quantifier slots (code) runs,
+    which gives the same verdicts, and not at all otherwise."""
     # opcodes determines the domain, and an int hashes cheaply
     ctx = m._ctx_cache.get(domain.opcodes)
     if ctx is None:
         ctx = m._ctx_cache[domain.opcodes] = _Context(m, domain)
+    if full:
+        ctx.close(_FULL)
+    elif code is not None and code[6]:
+        ctx.close(_CLASSES)
     return ctx
 
 
@@ -215,7 +241,7 @@ class Corpus:
                 self.sentences, {p: j for j, p in enumerate(m.props)})
         code, roots, low, high = compiled
         _check_agents(m, low, high)
-        return _context(m, domain).kernel.run(code, roots)[2::3]
+        return _context(m, domain, code).kernel.run(code, roots)[2::3]
 
 
 def _check_agents(m, low, high):
@@ -310,7 +336,7 @@ def _sentence_masks(m, f, domain):
     """Context plus whole-model (vocab, truth, False-world) masks for a
     sentence."""
     code, roots = _program(m, f)
-    ctx = _context(m, domain)
+    ctx = _context(m, domain, code)
     return (ctx, *ctx.kernel.run(code, roots))
 
 
@@ -345,7 +371,7 @@ def weakly_valid(m, f, domain=KXA):
 def realizable_profiles(m, domain=KXA):
     """Every (vocabulary, truth map) realized by a sentence of the domain,
     in fixpoint discovery order, each with a minimal-depth witness."""
-    ctx = _context(m, domain)
+    ctx = _context(m, domain, full=True)
     out = []
     for idx, (vocab, truth) in enumerate(ctx.kernel.profiles):
         vset = frozenset(ctx.props[j] for j in range(len(ctx.props))
@@ -359,7 +385,7 @@ def realizable_profiles(m, domain=KXA):
 
 def stabilization_depth(m, domain=KXA):
     """Least d such that depth-<=d sentences already realize every profile."""
-    return _context(m, domain).stab_depth
+    return _context(m, domain, full=True).stab_depth
 
 
 def forall_witness(m, world, f, domain=KXA):
@@ -369,7 +395,7 @@ def forall_witness(m, world, f, domain=KXA):
     buried under negation, conjunction or a refuted K/X.  None when no
     quantifier is responsible."""
     code, roots = _program(m, f)
-    ctx = _context(m, domain)
+    ctx = _context(m, domain, code)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
     ctx.kernel.load(code)
@@ -601,7 +627,7 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
         raise ValueError(f"body must have exactly {var!r} free, has "
                          f"{sorted(fv)}")
     _program(m, Forall(var, body))
-    ctx = _context(m, domain)
+    ctx = _context(m, domain, full=True)
     if world not in ctx.widx:
         raise ValueError(f"unknown world {world!r}")
     lang = m.lang[world]

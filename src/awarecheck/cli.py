@@ -4,7 +4,9 @@ Exit codes: 0 = True / ok / accepted / valid, 1 = False / violation /
 counterexample / rejected, 2 = error: bounds, a class or propositions that
 gen, enum or sweep cannot use, a malformed model or proof script, a formula
 that does not parse or is nested too deeply to handle, or a profile closure
-past its size limit or out of memory, 3 = Undefined.
+past its size limit or out of memory, 3 = Undefined.  Only `profiles` and
+the evaluation of a quantified sentence close the profiles, so only they
+can fail on the closure.
 """
 
 import argparse

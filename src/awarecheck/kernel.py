@@ -1,9 +1,12 @@
 """The native kernels (profile closure + formula-program interpreter) of
 _kernel.c, behind NativeKernel, the native twin of _kernel_py.Kernel: one
 object per structure that takes the model encoding (n_worlds,
-prop_world_masks, prop_true, succ, aware) once, closes its profiles and runs
-programs over them, all the roots of a program in one call (see
-_kernel_py).
+prop_world_masks, prop_true, succ, aware) once, closes its profiles, in full
+or over vocabulary classes, and runs programs over them, all the roots of a
+program in one call (see _kernel_py).  The checker closes only when a
+program with quantifier slots is to run, over classes, or a caller reads
+the profiles themselves, in full; run() refuses such a program before any
+closure, since the domain would be empty.
 
 On first import _kernel.c is compiled with `cc -O2 -shared -fPIC` into the
 package's __pycache__/, under a name keyed by a hash of the source, and
@@ -30,7 +33,8 @@ class _Records(ctypes.Structure):  # the closure's output, as in _kernel.c
     _fields_ = [("count", _INT), ("cap", _INT)] + [
         (name, ctypes.POINTER(ctypes.c_uint64 if name in ("vocab", "truth")
                               else _INT))
-        for name in ("vocab", "truth", "op", "a1", "a2", "aux", "layer")] + \
+        for name in ("vocab", "truth", "op", "a1", "a2", "aux", "layer",
+                     "key")] + \
         [("table", _PTR), ("mask", _INT), ("failed", _INT)]
 
 
@@ -68,7 +72,7 @@ def _load():
                 os.remove(old)
     lib = ctypes.CDLL(path)
     records, model = ctypes.POINTER(_Records), ctypes.POINTER(_Model)
-    lib.ak_close.argtypes = [model, _INT, _INT, records]
+    lib.ak_close.argtypes = [model, _INT, _INT, _INT, records]
     lib.ak_free.argtypes, lib.ak_free.restype = [records], None
     lib.ak_close.restype = lib.ak_run.restype = ctypes.c_int
     lib.ak_run.argtypes = [model] + [_PTR] * 4 + [_INT] * 2 + [_PTR, _INT,
@@ -96,10 +100,10 @@ class NativeKernel(_kernel_py.Kernel):
         self._model = _Model(n_worlds, len(prop_true), len(succ), 0,
                              *map(_addr, self._bufs))
 
-    def close(self, ops, max_profiles):
+    def close(self, ops, max_profiles, classes=0):
         out = _Records()
         try:
-            rc = _lib.ak_close(self._model, ops, max_profiles, out)
+            rc = _lib.ak_close(self._model, ops, max_profiles, classes, out)
             if rc:
                 raise MemoryError("profile closure") if rc < 0 else \
                     RuntimeError(
@@ -110,6 +114,7 @@ class NativeKernel(_kernel_py.Kernel):
         finally:
             _lib.ak_free(out)
         self.profiles = list(zip(cols[0], cols[1]))
+        self.program = None  # node values over the former profiles
         self._prof = array("Q", cols[0]), array("Q", cols[1])
         model = self._model
         model.n_profiles = n
@@ -118,6 +123,8 @@ class NativeKernel(_kernel_py.Kernel):
 
     def run(self, program, roots):
         op, a1, a2, aux, _, _, nslots = program
+        if nslots and self.profiles is None:
+            raise RuntimeError("quantified program on an unclosed kernel")
         out = array("Q", bytes(24 * len(roots)))
         if _lib.ak_run(self._model, _addr(op), _addr(a1), _addr(a2),
                        _addr(aux), len(op), nslots, _addr(roots), len(roots),

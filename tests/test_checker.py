@@ -11,8 +11,8 @@ from awarecheck.checker import (KXA, XA, Corpus, OracleBudgetExceeded,
                                 brute_force_forall, direct_evaluate,
                                 evaluate, evaluate_hr, forall_witness,
                                 qf_sentences, realizable_profiles,
-                                stabilization_depth, weak_counterexample,
-                                weakly_valid)
+                                satisfying_worlds, stabilization_depth,
+                                weak_counterexample, weakly_valid)
 from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import (AwarenessStructure, enumerate_models,
                               generate_random)
@@ -372,6 +372,84 @@ def test_memoization_consistency():
     assert first == second
 
 
+def test_only_quantified_programs_close(monkeypatch, capsys):
+    # a quantifier-free query reads no profile and closes nothing; a
+    # quantified one closes once per (structure, domain), over vocabulary
+    # classes, and a caller of the profiles themselves once more, in full
+    from awarecheck import checker
+    from awarecheck.cli import main
+    calls = []
+    real = checker.close_profiles
+    monkeypatch.setattr(checker, "close_profiles", lambda k, domain, *mode:
+                        calls.append((domain, *mode)) or real(k, domain,
+                                                               *mode))
+    m = generate_random(2, 4, ["p", "q"], frozenset(), seed=3)
+
+    def ask(text, domain):
+        f = parse(text, 2)
+        for w in m.worlds:
+            evaluate(m, w, f, domain)
+            forall_witness(m, w, f, domain)
+        satisfying_worlds(m, f, domain)
+        weak_counterexample(m, f, domain)
+        Corpus([f]).false_masks(m, domain)
+
+    for domain in (KXA, XA):
+        ask("K1 p & !A2 (p & q) | X1 true", domain)
+    assert main(["eval", "fixtures/M_barcan.json", "s", "X1 p"]) == 0
+    assert calls == []
+    for domain in (KXA, XA):
+        ask("forall #x . K1 (#x | !#x) & !A2 p", domain)
+        ask("!(forall #y . X2 #y)", domain)
+    assert calls == [(KXA, 1), (XA, 1)]
+    realizable_profiles(m)
+    stabilization_depth(m)
+    ask("forall #x . A1 #x", KXA)
+    assert calls == [(KXA, 1), (XA, 1), (KXA, 0)]
+    assert main(["eval", "fixtures/M_barcan.json", "s",
+                 "forall #x . X1 A1 #x"]) == 0
+    assert len(calls) == 4 and calls[-1][1] == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_full_closure_replaces_class_closure(monkeypatch, pure):
+    # profiles read after quantified queries are those of a fresh structure,
+    # not the class closure's, and the queries answer as before
+    from awarecheck import checker
+    from awarecheck._kernel_py import Kernel
+    if pure:
+        monkeypatch.setattr(checker, "NativeKernel", Kernel)
+
+    def twin():
+        # p and q lie in the same languages and awareness sets and are true
+        # at the same worlds, so the class closure drops q's seed and every
+        # later record index differs from the full closure's
+        return AwarenessStructure(
+            1, ["p", "q", "r"], ["s", "t"], dict.fromkeys("st", "pqr"),
+            {"s": "pq", "t": "r"}, {1: [("s", "t"), ("t", "t")]},
+            {1: dict.fromkeys("st", "pq")})
+
+    fs = [parse(text, 1) for text in (
+        "forall #x . (A1 #x -> K1 #x) & !(forall #y . X1 (#y | p))",
+        "forall #x . A1 #x")]
+    structures = [(twin(), twin())] + [
+        tuple(generate_random(1, 6, ["p", "q", "r"], seed=seed)
+              for _ in range(2)) for seed in range(6)]
+    replaced = 0
+    for m, fresh in structures:
+        # the last program loaded is the first one asked again
+        before = [[(evaluate(m, w, f), forall_witness(m, w, f))
+                   for w in m.worlds] for f in fs]
+        n_classes = len(_context(m, KXA).records)
+        assert realizable_profiles(m) == realizable_profiles(fresh)
+        replaced += len(_context(m, KXA).records) > n_classes
+        assert stabilization_depth(m) == stabilization_depth(fresh)
+        assert [[(evaluate(m, w, f), forall_witness(m, w, f))
+                 for w in m.worlds] for f in fs[::-1]] == before[::-1]
+    assert replaced >= 4
+
+
 CORPUS = [  # repeated closed subformulas, one body under two binders,
             # shadowed variables and `true`
     "forall #x . A1 #x",
@@ -403,7 +481,7 @@ def test_corpus_program_shares_nodes():
         m = generate_random(1, 2 + seed % 3, ["p", "q"], frozenset(),
                             seed=seed)
         for domain in domains:
-            ctx = _context(m, domain)
+            ctx = _context(m, domain, code)
             out = ctx.kernel.run(code, roots)
             ctx.kernel.load(code)
             witnesses = [[_quantifier_witness(ctx, w, root)

@@ -66,16 +66,19 @@ def test_malformed_model_is_an_error(tmp_path, capsys):
 
 def test_closure_limits_are_errors(capsys, monkeypatch):
     # past its size limit or out of memory the closure raises; that is
-    # exit 2, never 1 ("False")
+    # exit 2, never 1 ("False"); only a quantified sentence or `profiles`
+    # closes
     from awarecheck import checker
     for exc in (RuntimeError("profile closure exceeded 4000000 profiles"),
                 MemoryError("profile closure")):
         def close(*args, exc=exc):
             raise exc
         monkeypatch.setattr(checker, "close_profiles", close)
-        code, out, err = run(capsys, "eval", BARCAN, "s", "p")
-        assert code == 2 and out == "" and err.startswith("error:")
-        assert "profile closure" in err
+        for argv in (["eval", BARCAN, "s", "forall #x . X1 A1 #x"],
+                     ["profiles", BARCAN]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "profile closure" in err
 
 
 def test_eval_witness_closed_loop(capsys):

@@ -33,12 +33,14 @@ def _kernel_inputs(m, domain):
     return k.n_worlds, k.pwm, k.ptrue, k.succ, k.aware
 
 
-def _closures_agree(m, domain):
-    """A pure and a native kernel over m, each closed under the domain, once
-    their closures are seen to agree."""
+def _closures_agree(m, domain, classes=0):
+    """A pure and a native kernel over m, each closed under the domain, over
+    vocabulary classes when classes is 1, once their closures are seen to
+    agree."""
     kernels = [cls(*_kernel_inputs(m, domain))
                for cls in (Kernel, kernel.NativeKernel)]
-    pure, native = (k.close(domain.opcodes, 4_000_000) for k in kernels)
+    pure, native = (k.close(domain.opcodes, 4_000_000, classes)
+                    for k in kernels)
     assert pure == native
     # the profile columns ak_run reads, as many as it reads
     model = kernels[1]._model
@@ -59,6 +61,7 @@ def _evaluators_agree(m, kernels, formulas):
     code, roots, _, _ = _compile_program(
         formulas, {p: j for j, p in enumerate(m.props)})
     assert native.run(code, roots) == pure.run(code, roots) == alone
+    return alone
 
 
 def _conjunction(parts):
@@ -73,23 +76,60 @@ def _conjunction(parts):
 def test_closure_backends_agree():
     domains = [KXA, XA, QuantifierDomain(include_top=True)]
     for seed in range(40):
-        m = generate_random(2, 4, ["p", "q", "r"], frozenset(), seed=seed)
+        m = generate_random(2, 4 + seed % 3, ["p", "q", "r"], frozenset(),
+                            seed=seed)
         for domain in domains:
-            _closures_agree(m, domain)
+            for classes in (0, 1):
+                _closures_agree(m, domain, classes)
 
 
 @needs_c
 def test_eval_backends_agree():
-    # the native and the pure interpreter run the same programs
+    # the native and the pure interpreter run the same programs, with the
+    # same results over the full and the class closure
     rng = random.Random(77)
     for seed in range(60):
         m = generate_random(2, 4, ["p", "q"], frozenset(), seed=seed)
         for domain in (KXA, XA):
-            _evaluators_agree(m, _closures_agree(m, domain), [
-                random_sentence(rng, m.props, m.agents, max_depth=4,
-                                quantifier_prob=0.3,
-                                allow_top=(seed % 3 == 0))
-                for _ in range(8)])
+            formulas = [random_sentence(rng, m.props, m.agents, max_depth=4,
+                                        quantifier_prob=0.3,
+                                        allow_top=(seed % 3 == 0))
+                        for _ in range(8)]
+            full, classes = (
+                _evaluators_agree(m, _closures_agree(m, domain, mode),
+                                  formulas) for mode in (0, 1))
+            assert full == classes
+
+
+def _signature(k, vocab):
+    """The worlds whose language, and per agent the worlds whose awareness,
+    contains the vocabulary, read off k's model encoding."""
+    return (k.dom(vocab), tuple(
+        sum(1 << w for w, aware in enumerate(row) if not vocab & ~aware)
+        for row in k.aware))
+
+
+def test_class_closure_is_the_quotient():
+    # one record per (signature, truth map) of the full closure, at the
+    # least layer of the profiles with that pair, on each backend
+    classes = [Kernel] + [kernel.NativeKernel] * (kernel.BACKEND == "c")
+    merged = 0
+    for seed in range(24):
+        m = generate_random(1 + seed % 3, 3 + seed % 4,
+                            ["p", "q", "r", "s"][:2 + seed % 3], seed=seed)
+        for domain in (KXA, XA, QuantifierDomain(include_top=True)):
+            for cls in classes:
+                k = cls(*_kernel_inputs(m, domain))
+                full, full_layers = k.close(domain.opcodes, 4_000_000)
+                least = {}
+                for rec, layer in zip(full, full_layers):
+                    least.setdefault((_signature(k, rec[0]), rec[1]), layer)
+                records, layers = k.close(domain.opcodes, 4_000_000, 1)
+                got = {(_signature(k, rec[0]), rec[1]): layer
+                       for rec, layer in zip(records, layers)}
+                assert len(got) == len(records) and got == least
+                merged += len(records) < len(full)
+    assert merged > 50
 
 
 @needs_c
@@ -125,7 +165,7 @@ def test_closure_size_guard_routes_to_python():
     props = [f"p{i}" for i in range(65)]
     m = AwarenessStructure(1, props, ["w"], {"w": props}, {"w": props},
                            {1: [("w", "w")]}, {1: {"w": []}})
-    ctx = _context(m, QuantifierDomain(ops=frozenset({"not"})))
+    ctx = _context(m, QuantifierDomain(ops=frozenset({"not"})), full=True)
     assert len(ctx.records) == 130  # each proposition and its negation
     assert type(ctx.kernel) is Kernel
     assert str(evaluate(m, "w", parse("p64 & forall #x . (#x | !#x)"),
@@ -178,6 +218,11 @@ def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
                 mp.setattr(checker, "NativeKernel", Kernel)
                 assert type(_context(m, domain).kernel) is Kernel
             assert _answers(m, domain, formulas) == native
+            # and a context closed in full, not over vocabulary classes
+            m._ctx_cache.clear()
+            _context(m, domain, full=True)
+            assert _answers(m, domain, formulas) == native
+            assert _context(m, domain).classes == 0
 
 
 def test_one_kernel_per_context(monkeypatch):
