@@ -116,7 +116,7 @@ def main():
                                            4, 3)]
     m = generate_random(1, 3, ("p", "q"), frozenset("rte"), seed=0)
     singles = [_program(m, f) for f in corpus]
-    code, roots, _, _ = _compile_program(corpus, {"p": 0, "q": 1})
+    code, roots = _compile_program(corpus, {"p": 0, "q": 1}, 1)
     nodes = sum(len(c[0]) for c, _ in singles)
     print(f"corpus: {len(corpus)} sentences, {nodes} nodes one by one, "
           f"{len(code[0])} in one program")

@@ -5,22 +5,28 @@ KXA and XA with and without --include-top, then `eval --json` for 2000
 seeded random sentences (quantifiers, shadowed variables and `true`
 included) at random worlds of those structures.  Then the structures
 themselves: the same `gen` for seeds 0-199 under every class, and every
-`enum` stream of ENUMS in its order, with its `--count-only` count.  Last,
+`enum` stream of ENUMS in its order, with its `--count-only` count.  Then
 `sweep --json` for every system of SWEEPS over rte structures and over
 structures of no class, where schemas such as T, 4 and 5_star fail, with
 and without --check-rules, for three seeds; the rte runs also sweep the
-enumerated structures of up to 2 worlds.  Last, `eval --json` of 8 seeded
+enumerated structures of up to 2 worlds.  Then `eval --json` of 8 seeded
 quantified sentences each (a quantifier over a quantifier-free body, or
 nested quantifiers) on 36 `gen` structures with 2-3 agents, 6-8 worlds and
 3-4 propositions, where the vocabulary classes of the quantifier's domain
-merge many profiles.
+merge many profiles.  Last, `prove --json`, with and without --include-top,
+for every script in fixtures/proofs/ and for one-line scripts that claim
+each schema of each system of PROVE_SYSTEMS for 3 seeded instances of it,
+and for the same instances another schema of that system, chosen at random,
+which mostly rejects them.
 
 Run:  PYTHONPATH=src python3 benchmarks/dump_outputs.py OUT.txt
       (then diff OUT.txt against the same run in another checkout)
 """
 
 import contextlib
+import glob
 import io
+import json
 import os
 import random
 import sys
@@ -30,6 +36,8 @@ from awarecheck import kernel
 from awarecheck.cli import main
 from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import load_model
+from awarecheck.proofs import SCHEMA_NAMES, SYSTEMS, parse_system, \
+    schema_instances
 from awarecheck.syntax import TOP, Forall, is_quantifier_free, pretty
 
 VARIANTS = ([], ["--include-top"], ["--domain", "XA"],
@@ -42,6 +50,9 @@ ENUMS = (["--agents", "1", "--max-worlds", "3", "--props", "p,q",
          ["--agents", "2", "--max-worlds", "2", "--props", "p"])
 SWEEPS = ("AXe_KXAAstarforall+T45star", "AXe_KAstar+T45star",
           "AXe_XAforall+TX4X5X", "AXe_KXAAstarforall")
+# every base system, and one that adds all 29 schemas to the richest
+# language, so that every schema reaches the matcher
+PROVE_SYSTEMS = (*SYSTEMS, "AXe_KXAAstarforall+" + ",".join(SCHEMA_NAMES))
 
 
 def call(*argv):
@@ -120,6 +131,27 @@ def dump(out, tmp):
                               *variant)
             out.write(f"b{n}.json {world} {variant} {code} "
                       f"{text.replace(path, f'b{n}.json')}")
+    scripts = [(os.path.basename(path), path)
+               for path in sorted(glob.glob("fixtures/proofs/*.json"))]
+    rng = random.Random(10)
+    for spec in PROVE_SYSTEMS:
+        system = parse_system(spec)
+        names = sorted(system.schemas)
+        for name in names:
+            for inst in schema_instances(rng, name, ("p", "q"), 2, system,
+                                         3, 3):
+                for claim in (name, rng.choice(names)):
+                    path = os.path.join(tmp, f"s{len(scripts)}.json")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        json.dump({"system": spec, "agents": 2, "lines": [
+                            {"formula": pretty(inst),
+                             "just": {"axiom": claim}}]}, fh)
+                    scripts.append((f"{spec} {name} {claim}", path))
+    for label, path in scripts:
+        for variant in ([], ["--include-top"]):
+            code, text = call("prove", path, "--json", *variant)
+            out.write(f"{label} {variant} {code} "
+                      f"{text.replace(path, 'script')}")
 
 
 if __name__ == "__main__":

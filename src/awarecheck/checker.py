@@ -204,27 +204,31 @@ def _context(m, domain, code=None, full=False):
 _COMPILED = {}
 
 
-def _program(m, f):
-    """(code, roots) of the sentence f over m's proposition order, compiled
-    once per order; ValueError if f is not a sentence of m."""
-    per = _COMPILED.get(id(f))
-    compiled = None if per is None else per.get(m.props)
+def _compiled_for(m, cache, sentences):
+    """_compile_program's (code, roots) for the sentences over m's
+    proposition order and agent count, kept in cache under that pair."""
+    key = m.props, m.agents
+    compiled = cache.get(key)
     if compiled is None:
-        compiled = _compile_program(
-            [f], {p: j for j, p in enumerate(m.props)})
-        if per is None:
-            per = _COMPILED[id(f)] = {}
-            weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
-        per[m.props] = compiled
-    code, roots, low, high = compiled
-    _check_agents(m, low, high)
-    return code, roots
+        compiled = cache[key] = _compile_program(
+            sentences, {p: j for j, p in enumerate(m.props)}, m.agents)
+    return compiled
+
+
+def _program(m, f):
+    """(code, roots) of the sentence f, compiled once per proposition order
+    and agent count; ValueError if f is not a sentence of m."""
+    per = _COMPILED.get(id(f))
+    if per is None:
+        per = _COMPILED[id(f)] = {}
+        weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
+    return _compiled_for(m, per, [f])
 
 
 class Corpus:
-    """Sentences compiled together, once per proposition order, into one
-    program with a root per sentence, so that one kernel call per structure
-    evaluates them all and their shared subformulas once."""
+    """Sentences compiled together into one program with a root per
+    sentence, so that one kernel call per structure evaluates them all and
+    their shared subformulas once."""
 
     def __init__(self, sentences):
         self.sentences = tuple(sentences)
@@ -232,34 +236,30 @@ class Corpus:
 
     def false_masks(self, m, domain=KXA):
         """Per sentence, the mask of m's worlds where it is False: nonzero
-        exactly when weak_counterexample finds a world, the lowest set
-        bit's.  ValueError when one of them is not a sentence of m, though
-        not always with the message weak_counterexample gives for it."""
-        compiled = self._compiled.get(m.props)
-        if compiled is None:
-            compiled = self._compiled[m.props] = _compile_program(
-                self.sentences, {p: j for j, p in enumerate(m.props)})
-        code, roots, low, high = compiled
-        _check_agents(m, low, high)
+        exactly when weak_counterexample finds a world, the one that
+        _first_world names.  When some sentence is not a sentence of m,
+        ValueError with the message weak_counterexample gives for the first
+        such."""
+        code, roots = _compiled_for(m, self._compiled, self.sentences)
         return _context(m, domain, code).kernel.run(code, roots)[2::3]
 
 
-def _check_agents(m, low, high):
-    if high > m.agents or low < 1:
-        raise ValueError(f"unknown agent {high if high > m.agents else low}")
+def _first_world(m, mask):
+    """The world of mask's lowest set bit, None for an empty mask."""
+    return m.worlds[(mask & -mask).bit_length() - 1] if mask else None
 
 
-def _compile_program(sentences, pidx):
-    """Flattens sentences into one program: (code, roots, lowest agent,
-    highest agent).  code is the program in the kernels' format (see
-    _kernel_py): four array('i') columns, per node the propositions it
-    mentions and the slots it uses, and the slot count.  A node is stored
-    once however often it occurs, and so is a closed quantified subformula,
-    so sentences share their common subformulas.  roots holds each
-    sentence's node as an array('i').  The agent range covers all the
-    sentences, (1, 0) without modal operators.  Each binder compiled gets a
-    slot of its own, so shadowing allocates a fresh one.  Raises ValueError
-    for free variables and for propositions missing from pidx."""
+def _compile_program(sentences, pidx, n_agents):
+    """Flattens sentences into one program: (code, roots).  code is the
+    program in the kernels' format (see _kernel_py): four array('i')
+    columns, per node the propositions it mentions and the slots it uses,
+    and the slot count.  A node is stored once however often it occurs, and
+    so is a closed quantified subformula, so sentences share their common
+    subformulas.  roots holds each sentence's node as an array('i').  Each
+    binder compiled gets a slot of its own, so shadowing allocates a fresh
+    one.  Raises ValueError at the first sentence with a free variable, a
+    proposition missing from pidx or an agent outside 1..n_agents, with the
+    message that sentence raises alone."""
     cols = ops, a1, a2, aux = [], [], [], []
     vocab, used = [], []
     index, closed = {}, {}
@@ -327,9 +327,16 @@ def _compile_program(sentences, pidx):
 
     roots = array("i")
     for f in sentences:
+        agents.clear()
         roots.append(go(f, {}))
+        # a closed quantified subformula met before is not walked again,
+        # but its agents passed then, so the message stays the same
+        low, high = min(agents, default=1), max(agents, default=0)
+        if high > n_agents or low < 1:
+            raise ValueError(
+                f"unknown agent {high if high > n_agents else low}")
     code = (*(array("i", col) for col in cols), vocab, used, nslots)
-    return code, roots, min(agents, default=1), max(agents, default=0)
+    return code, roots
 
 
 def _sentence_masks(m, f, domain):
@@ -358,10 +365,7 @@ def satisfying_worlds(m, f, domain=KXA):
 def weak_counterexample(m, f, domain=KXA):
     """First world where f is False, or None when f is weakly valid in m
     (True or Undefined everywhere)."""
-    ctx, _, _, bad = _sentence_masks(m, f, domain)
-    if bad:
-        return ctx.worlds[(bad & -bad).bit_length() - 1]
-    return None
+    return _first_world(m, _sentence_masks(m, f, domain)[3])
 
 
 def weakly_valid(m, f, domain=KXA):

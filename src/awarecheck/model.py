@@ -555,7 +555,10 @@ def model_from_dict(d):
         return x
 
     try:
-        agents = int(d["agents"])
+        agents = d["agents"]
+        if type(agents) is not int:  # bool is an int, 1.9 would truncate
+            raise TypeError(f"expected an integer agent count, got "
+                            f"{agents!r}")
         props = [str(p) for p in names(d["props"])]
         entries = d["worlds"]
         worlds = [str(e["id"]) for e in entries]

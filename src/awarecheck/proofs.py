@@ -2,23 +2,27 @@
 the model-sweep soundness harness.
 
 Schema recognition is first-order syntactic on desugared ASTs: metavariables
-stand for whole formulas, agent indices or bound-variable names, and every
+stand for whole formulas (MetaF), agent indices (an agent given as a str) or
+bound-variable names (a Var or Forall name starting with '?'), and every
 occurrence of a metavariable must match the same concrete material.  Prop is
-recognized by abstracting maximal non-propositional subformulas to fresh
-atoms and truth-tabling.
+recognized by truth-tabling the formula over its maximal subformulas other
+than Top, Not and And.
+
+Sweeps judge every sentence through checker.Corpus: one kernel call per
+structure for all the instances or rule conclusions drawn on it.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress
 
-from .checker import K_ONLY, KXA, XA, Corpus, weak_counterexample
+from .checker import K_ONLY, KXA, XA, Corpus, _first_world
 from .fuzz import random_formula, random_qf_sentence, random_tautology
 from .syntax import (TOP, A, And, AStar, Forall, Formula, Iff, Implies, K,
-                     Not, Prop, Top, Var, X, free_vars, is_quantifier_free,
-                     is_sentence, map_props, parse, pretty, subformulas,
-                     subst_var, vocabulary)
-from .syntax import _rebuild, _subst_var
+                     Not, Prop, Top, Var, X, bound_vars, free_vars,
+                     is_quantifier_free, is_sentence, map_props, parse,
+                     pretty, subformulas, subst_var, vocabulary)
+from .syntax import _children, _rebuild, _subst_var
 
 __all__ = [
     "MetaF", "SCHEMA_NAMES", "RULE_NAMES", "match_axiom", "instantiate",
@@ -40,149 +44,111 @@ _I = "i"
 _XV = "?x"
 
 
-def _agpp_rhs(conjunct, props):
-    """Canonical AGPP right-hand side: right-nested conjunction of the
-    conjuncts over the sorted vocabulary; Top when the vocabulary is empty."""
-    props = sorted(props)
-    if not props:
-        return TOP
-    acc = conjunct(props[-1])
-    for p in reversed(props[:-1]):
-        acc = And(conjunct(p), acc)
-    return acc
+def _label(f):
+    """The field of f that is not a subformula: its agent, name or bound
+    variable; None for Top, Not and And."""
+    if isinstance(f, (K, A, X)):
+        return f.agent
+    return f.var if isinstance(f, Forall) else getattr(f, "name", None)
+
+
+def _meta(pat):
+    """The metavariable that pat's label is, where the pattern leaves it
+    open: an agent given as a str, or a Var or Forall name starting with
+    '?'.  None where the label must match as it stands."""
+    label = _label(pat)
+    if isinstance(pat, (K, A, X)):
+        return label if isinstance(label, str) else None
+    if isinstance(pat, (Var, Forall)) and label.startswith("?"):
+        return label
+    return None
 
 
 def _match(pat, f, b):
+    """Extends the bindings b so that pat becomes f; False when no binding
+    does."""
     if isinstance(pat, MetaF):
-        got = b.get(pat.name)
-        if got is None:
-            b[pat.name] = f
-            return True
-        return got == f
+        return b.setdefault(pat.name, f) == f
     if type(pat) is not type(f):
         return False
-    if isinstance(pat, Top):
-        return True
-    if isinstance(pat, Prop):
-        return pat.name == f.name
-    if isinstance(pat, Var):
-        if pat.name.startswith("?"):
-            got = b.get(pat.name)
-            if got is None:
-                b[pat.name] = f.name
-                return True
-            return got == f.name
-        return pat.name == f.name
-    if isinstance(pat, Not):
-        return _match(pat.body, f.body, b)
-    if isinstance(pat, And):
-        return _match(pat.left, f.left, b) and _match(pat.right, f.right, b)
-    if isinstance(pat, (K, A, X)):
-        if isinstance(pat.agent, str):
-            got = b.get(pat.agent)
-            if got is None:
-                b[pat.agent] = f.agent
-            elif got != f.agent:
-                return False
-        elif pat.agent != f.agent:
-            return False
-        return _match(pat.body, f.body, b)
-    if isinstance(pat, Forall):
-        if pat.var.startswith("?"):
-            got = b.get(pat.var)
-            if got is None:
-                b[pat.var] = f.var
-            elif got != f.var:
-                return False
-        elif pat.var != f.var:
-            return False
-        return _match(pat.body, f.body, b)
-    raise TypeError(f"bad pattern node: {pat!r}")
+    meta = _meta(pat)
+    want = _label(pat) if meta is None else b.setdefault(meta, _label(f))
+    return want == _label(f) and all(
+        _match(p, g, b) for p, g in zip(_children(pat), _children(f)))
 
 
 def _build(pat, b):
     if isinstance(pat, MetaF):
         return b[pat.name]
-    if isinstance(pat, Var):
-        return Var(b[pat.name]) if pat.name.startswith("?") else pat
-    if isinstance(pat, (K, A, X)) and isinstance(pat.agent, str):
-        pat = type(pat)(b[pat.agent], pat.body)
-    elif isinstance(pat, Forall) and pat.var.startswith("?"):
-        pat = Forall(b[pat.var], pat.body)
+    meta = _meta(pat)
+    if meta is not None:  # a label is its node's first field
+        pat = type(pat)(b[meta], *_children(pat))
     return _rebuild(pat, _build, b)
 
 
 # --- schema table -----------------------------------------------------------
 
+@dataclass(frozen=True)
 class Schema:
-    def __init__(self, name, pattern=None, side=None, build=None, metas=()):
-        self.name = name
-        self.pattern = pattern
-        self.side = side
-        self.build = build
-        self.metas = metas
+    """A schema's pattern and metavariables; side(bindings, include_top)
+    further tests a match, and build(bindings) makes an instance where
+    _build cannot make it from the pattern."""
 
-
-def _prop_abstract(f, atoms):
-    if isinstance(f, (K, A, X, Forall, Prop, Var)):
-        idx = atoms.get(f)
-        if idx is None:
-            idx = len(atoms)
-            atoms[f] = idx
-        return ("atom", idx)
-    if isinstance(f, Top):
-        return ("top",)
-    if isinstance(f, Not):
-        return ("not", _prop_abstract(f.body, atoms))
-    if isinstance(f, And):
-        return ("and", _prop_abstract(f.left, atoms),
-                _prop_abstract(f.right, atoms))
-    raise TypeError(f"not a formula: {f!r}")
+    name: str
+    pattern: Formula = None
+    side: object = None
+    build: object = None
+    metas: tuple = ()
 
 
 def _prop_tautology(f):
-    """Truth-tables f after abstracting maximal modal/quantified subformulas
-    (and atoms) to propositional letters."""
-    atoms = {}
-    tree = _prop_abstract(f, atoms)
-    n = len(atoms)
-    if n > 20:
+    """Truth-tables f over its maximal subformulas other than Top, Not and
+    And, read as propositional letters.  All 2**n rows at once: bit r of a
+    value is its truth in row r, where letter k takes bit k of r."""
+    letters, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Not, And)):
+            stack.extend(_children(g))
+        elif not isinstance(g, Top):
+            letters.setdefault(g, len(letters))
+    if len(letters) > 20:
         raise ValueError("too many distinct atoms for truth-tabling")
+    rows = 1 << len(letters)
+    full = (1 << rows) - 1
+    # letter k is false in 2**k rows, then true in 2**k, and so on: the
+    # block of 2**(k+1) bits repeated, which full // (2**(2**(k+1)) - 1)
+    # spaces out
+    column = {g: full // ((1 << (2 << k)) - 1) *
+              (((1 << (1 << k)) - 1) << (1 << k))
+              for g, k in letters.items()}
 
-    def ev(t, row):
-        tag = t[0]
-        if tag == "atom":
-            return bool((row >> t[1]) & 1)
-        if tag == "top":
-            return True
-        if tag == "not":
-            return not ev(t[1], row)
-        return ev(t[1], row) and ev(t[2], row)
+    def value(g):
+        if isinstance(g, Not):
+            return full ^ value(g.body)
+        if isinstance(g, And):
+            return value(g.left) & value(g.right)
+        return full if isinstance(g, Top) else column[g]
 
-    return all(ev(tree, row) for row in range(1 << n))
-
-
-def _match_prop(f, config):
-    return {"tautology": True} if _prop_tautology(f) else None
-
-
-def _side_agpp(conjunct):
-    def side(b, config):
-        want = _agpp_rhs(lambda p: conjunct(b[_I], Prop(p)),
-                         vocabulary(b["phi"]))
-        return b["rhs"] == want
-    return side
+    return value(f) == full
 
 
-def _build_agpp(conjunct, wrap):
-    def build(b):
-        return Iff(wrap(b[_I], b["phi"]),
-                   _agpp_rhs(lambda p: conjunct(b[_I], Prop(p)),
-                             vocabulary(b["phi"])))
-    return build
+def _agpp(op):
+    """AGPP's side condition and builder for the awareness operator op (A,
+    or AStar for AGPP_star).  The canonical right-hand side conjoins op_i p
+    over phi's sorted vocabulary, nested to the right; Top when it is
+    empty."""
+    def rhs(b):
+        parts = [op(b[_I], Prop(p)) for p in sorted(vocabulary(b["phi"]))]
+        acc = parts.pop() if parts else TOP
+        for part in reversed(parts):
+            acc = And(part, acc)
+        return acc
+    return (lambda b, include_top: b["rhs"] == rhs(b),
+            lambda b: Iff(op(b[_I], b["phi"]), rhs(b)))
 
 
-def _side_1forall(b, config):
+def _side_1forall(b, include_top):
     # inst is phi[x/psi] for one psi, or phi itself when x is not free in it
     if not _match(_subst_var(b["phi"], b[_XV], MetaF("psi")), b["inst"], b):
         return False
@@ -191,7 +157,7 @@ def _side_1forall(b, config):
         return True
     if not is_quantifier_free(psi) or not is_sentence(psi):
         return False
-    return config.get("include_top", False) or \
+    return include_top or \
         not any(isinstance(g, Top) for g in subformulas(psi))
 
 
@@ -200,7 +166,7 @@ def _build_1forall(b):
                    subst_var(b["phi"], b[_XV], b["psi"]))
 
 
-def _side_nforall(b, config):
+def _side_nforall(b, include_top):
     return b[_XV] not in free_vars(b["phi"])
 
 
@@ -209,14 +175,11 @@ def _schemas():
     xv = Var(_XV)
     table = {}
 
-    def put(name, pattern=None, side=None, build=None, metas=()):
-        table[name] = Schema(name, pattern, side, build, metas)
+    def put(name, *args, **kwargs):
+        table[name] = Schema(name, *args, **kwargs)
 
-    put("Prop", metas=("taut",))
-    put("AGPP",
-        pattern=Iff(A(_I, phi), MetaF("rhs")),
-        side=_side_agpp(A), build=_build_agpp(A, A),
-        metas=(_I, "phi"))
+    put("Prop")
+    put("AGPP", Iff(A(_I, phi), MetaF("rhs")), *_agpp(A), metas=(_I, "phi"))
     put("KA", Implies(A(_I, phi), K(_I, A(_I, phi))), metas=(_I, "phi"))
     put("NKA", Implies(Not(A(_I, phi)), K(_I, Not(A(_I, phi)))),
         metas=(_I, "phi"))
@@ -263,9 +226,7 @@ def _schemas():
         Implies(Forall(_XV, Not(A(_I, xv))),
                 X(_I, Forall(_XV, Not(A(_I, xv))))),
         metas=(_I, _XV))
-    put("AGPP_star",
-        pattern=Iff(AStar(_I, phi), MetaF("rhs")),
-        side=_side_agpp(AStar), build=_build_agpp(AStar, AStar),
+    put("AGPP_star", Iff(AStar(_I, phi), MetaF("rhs")), *_agpp(AStar),
         metas=(_I, "phi"))
     put("XA_star", Implies(AStar(_I, phi), K(_I, AStar(_I, phi))),
         metas=(_I, "phi"))
@@ -295,13 +256,12 @@ def match_axiom(f, name, include_top=False):
     schema = _SCHEMAS.get(name)
     if schema is None:
         raise KeyError(f"unknown axiom schema {name!r}")
-    config = {"include_top": include_top}
     if name == "Prop":
-        return _match_prop(f, config)
+        return {"tautology": True} if _prop_tautology(f) else None
     b = {}
     if not _match(schema.pattern, f, b):
         return None
-    if schema.side is not None and not schema.side(b, config):
+    if schema.side is not None and not schema.side(b, include_top):
         return None
     return b
 
@@ -330,6 +290,15 @@ def _gen_conclusion(name, agent, phi):
     if name == "Gen_X":
         return Implies(A(agent, phi), X(agent, phi))
     return Implies(AStar(agent, phi), K(agent, phi))
+
+
+def _gen_forall_conclusion(phi, q):
+    """forall #x . phi with #x for the proposition q, where no binder of phi
+    is named x, so that none captures it."""
+    x, bound = "z", bound_vars(phi)
+    while x in bound:
+        x += "0"
+    return Forall(x, map_props(phi, {q: Var(x)}))
 
 
 def _check_rule(name, premises, conclusion, agent=None, q=None, x=None):
@@ -384,12 +353,9 @@ class AxiomSystem:
     def allows(self, f):
         """None when f lies in the system's language, else a reason."""
         for g in subformulas(f):
-            if isinstance(g, K) and "K" not in self.modal_ops:
-                return "operator K not in the system language"
-            if isinstance(g, A) and "A" not in self.modal_ops:
-                return "operator A not in the system language"
-            if isinstance(g, X) and "X" not in self.modal_ops:
-                return "operator X not in the system language"
+            op = type(g).__name__  # as modal_ops names the modal operators
+            if isinstance(g, (K, A, X)) and op not in self.modal_ops:
+                return f"operator {op} not in the system language"
             if isinstance(g, Forall) and not self.quantifiers:
                 return "quantifier not in the system language"
         return None
@@ -506,7 +472,7 @@ def proof_script_from_dict(d, n_agents=None):
             not isinstance(d.get("lines"), list):
         raise ValueError("malformed proof script: expected an object with a "
                          "system name and a list of lines")
-    if n_agents is not None and not isinstance(n_agents, int):
+    if n_agents is not None and type(n_agents) is not int:
         raise ValueError(f"malformed proof script: agents {n_agents!r}")
     lines = []
     for no, entry in enumerate(d["lines"], start=1):
@@ -628,8 +594,6 @@ def _meta_bindings(rng, schema, props, n_agents, system, depth):
             b[_I] = rng.randint(1, n_agents)
         elif name == _XV:
             b[_XV] = rng.choice(["x", "y"])
-        elif name == "taut":
-            pass
         elif kind == "open":
             var = b.get(_XV, "x")
             b[name] = random_formula(rng, props, n_agents, ops=ops,
@@ -664,11 +628,8 @@ def schema_instances(rng, name, props, n_agents, system, count, depth=3):
         else:
             b = _meta_bindings(rng, schema, props, n_agents, system, depth)
             inst = instantiate(name, b)
-        if not is_sentence(inst):
-            continue
-        if system.allows(inst) is not None:
-            continue
-        out.append(inst)
+        if is_sentence(inst) and system.allows(inst) is None:
+            out.append(inst)
     return out
 
 
@@ -694,75 +655,54 @@ def soundness_sweep(system, models, *, seed=0, rng=None,
     first = next(models, None)
     if first is None:
         return report
-    props = first.props
-    n_agents = first.agents
     domain = system.domain
     corpus = {
-        name: schema_instances(rng, name, props, n_agents, system,
+        name: schema_instances(rng, name, first.props, first.agents, system,
                                instances_per_schema, instance_depth)
         for name in sorted(system.schemas)
     }
     report.instances = {name: len(insts) for name, insts in corpus.items()}
     named = [(name, inst) for name, insts in corpus.items() for inst in insts]
     batch = Corpus(inst for _, inst in named)
-    m = first
-    while m is not None:
+    for m in chain([first], models):
         report.models_checked += 1
-        try:
-            flags = batch.false_masks(m, domain)
-        except ValueError:
-            # some instance is not a sentence of m: weak_counterexample
-            # raises for the first one as it would alone
-            flags = [1] * len(named)
-        for name, inst in compress(named, flags):
-            # the report's world comes from the one-sentence path
-            world = weak_counterexample(m, inst, domain)
-            if world is not None:
-                report.violations.append(
-                    SweepViolation("axiom", name, m, inst, world))
+        flags = batch.false_masks(m, domain)
+        report.violations.extend(
+            SweepViolation("axiom", name, m, inst, _first_world(m, mask))
+            for (name, inst), mask in compress(zip(named, flags), flags))
         if check_rules:
             pool = [inst for (_, inst), flag in zip(named, flags) if not flag]
             _check_rules_on_model(system, m, domain, rng, pool, rule_samples,
                                   report)
-        m = next(models, None)
     return report
 
 
 def _check_rules_on_model(system, m, domain, rng, pool, samples, report):
+    """Draws rule applications to premises from pool, the instances found
+    weakly valid on m, and reports each conclusion that is False somewhere.
+    MP's are not judged: with phi and psi weakly valid, neither phi -> psi
+    nor psi is False anywhere, so only its draws are made."""
     pool = pool[:40]
     if not pool:
         return
+    drawn = []
     for rule in sorted(system.rules):
         for _ in range(samples):
             phi = rng.choice(pool)
             if rule == "MP":
-                psi = rng.choice(pool)
-                imp = Implies(phi, psi)
-                if weak_counterexample(m, imp, domain) is not None:
-                    continue
-                world = weak_counterexample(m, psi, domain)
-                if world is not None:
-                    report.rule_findings.append(
-                        SweepViolation("rule", "MP", m, psi, world))
+                rng.choice(pool)
             elif rule in ("Gen_K", "Gen_X", "Gen_star"):
-                agent = rng.randint(1, m.agents)
-                conclusion = _gen_conclusion(rule, agent, phi)
-                world = weak_counterexample(m, conclusion, domain)
-                if world is not None:
-                    report.rule_findings.append(
-                        SweepViolation("rule", rule, m, conclusion, world))
+                drawn.append((rule, _gen_conclusion(
+                    rule, rng.randint(1, m.agents), phi)))
             elif rule == "Gen_forall":
                 vocab = sorted(vocabulary(phi))
-                if not vocab:
-                    continue
-                q = rng.choice(vocab)
-                x = "z" if "z" not in free_vars(phi) else "z0"
-                conclusion = Forall(x, map_props(phi, {q: Var(x)}))
-                world = weak_counterexample(m, conclusion, domain)
-                if world is not None:
-                    report.rule_findings.append(
-                        SweepViolation("rule", "Gen_forall", m, conclusion,
-                                       world))
+                if vocab:
+                    drawn.append((rule, _gen_forall_conclusion(
+                        phi, rng.choice(vocab))))
+    masks = Corpus(f for _, f in drawn).false_masks(m, domain)
+    report.rule_findings.extend(
+        SweepViolation("rule", rule, m, f, _first_world(m, mask))
+        for (rule, f), mask in compress(zip(drawn, masks), masks))
 
 
 def search_schema_violation(name, models, *, seed=0, rng=None, system=None,
@@ -777,15 +717,14 @@ def search_schema_violation(name, models, *, seed=0, rng=None, system=None,
         system = SYSTEMS["AXe_KXAAstarforall"]
     if domain is None:
         domain = system.domain
-    schema = _SCHEMAS[name]
     for m in models:
-        insts = list(extra_instances)
-        insts.extend(schema_instances(rng, name, m.props, m.agents, system,
-                                      instances_per_model, instance_depth))
-        for inst in insts:
-            if not is_sentence(inst) or system.allows(inst) is not None:
-                continue
-            world = weak_counterexample(m, inst, domain)
-            if world is not None:
-                return SweepViolation("axiom", name, m, inst, world)
+        insts = [inst for inst in (
+            *extra_instances,
+            *schema_instances(rng, name, m.props, m.agents, system,
+                              instances_per_model, instance_depth))
+            if is_sentence(inst) and system.allows(inst) is None]
+        for inst, mask in zip(insts, Corpus(insts).false_masks(m, domain)):
+            if mask:
+                return SweepViolation("axiom", name, m, inst,
+                                      _first_world(m, mask))
     return None

@@ -19,41 +19,33 @@ __all__ = [
 
 
 class Formula:
-    """Base class for AST nodes.  Instances are immutable and hashable."""
+    """Base class for AST nodes.  Instances are immutable and hashable, and
+    str() gives their concrete syntax."""
 
     __slots__ = ()
+
+    def __str__(self):
+        return pretty(self)
 
 
 @dataclass(frozen=True)
 class Top(Formula):
     """The vacuously true constant (the empty conjunction)."""
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Prop(Formula):
     name: str
-
-    def __str__(self):
-        return pretty(self)
 
 
 @dataclass(frozen=True)
 class Var(Formula):
     name: str
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def __str__(self):
-        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -61,17 +53,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class K(Formula):
     agent: int
     body: Formula
-
-    def __str__(self):
-        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -79,26 +65,17 @@ class A(Formula):
     agent: int
     body: Formula
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class X(Formula):
     agent: int
     body: Formula
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
-
-    def __str__(self):
-        return pretty(self)
 
 
 TOP = Top()

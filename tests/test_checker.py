@@ -470,11 +470,12 @@ def test_corpus_program_shares_nodes():
     # together, and every root answers as its sentence does alone
     sentences = [parse(text, 1) for text in CORPUS]
     pidx = {"p": 0, "q": 1}
-    code, roots, low, high = _compile_program(sentences, pidx)
-    alone = [_compile_program([f], pidx)[0] for f in sentences]
+    code, roots = _compile_program(sentences, pidx, 1)
+    alone = [_compile_program([f], pidx, 1)[0] for f in sentences]
     assert len(code[0]) < sum(len(c[0]) for c in alone)
     assert code[-1] < sum(c[-1] for c in alone)
-    assert (low, high) == (1, 1)
+    with pytest.raises(ValueError, match="unknown agent 1"):
+        _compile_program(sentences, pidx, 0)
     corpus = Corpus(sentences)
     domains = [KXA, XA, QuantifierDomain(include_top=True)]
     for seed in range(12):

@@ -54,6 +54,8 @@ def test_malformed_model_is_an_error(tmp_path, capsys):
         lambda d: d["worlds"][0].update(lang=5),
         lambda d: d.update(relations=[]),
         lambda d: d.update(agents="x"),
+        lambda d: d.update(agents=1.9),
+        lambda d: d.update(agents=True),
     ]
     for k, spoil in enumerate(bad):
         d = json.loads(json.dumps(good))
@@ -234,8 +236,10 @@ def test_prove_command(capsys):
 def test_malformed_proof_script_is_an_error(tmp_path, capsys):
     with open("fixtures/proofs/genx_demo.json", encoding="utf-8") as fh:
         good = json.load(fh)
-    for k, line in enumerate(({"just": {"axiom": "Prop"}}, 5)):
-        d = dict(good, lines=good["lines"] + [line])
+    bad = [dict(good, lines=good["lines"] + [line])
+           for line in ({"just": {"axiom": "Prop"}}, 5)]
+    bad += [dict(good, agents=agents) for agents in (True, 1.9, "1")]
+    for k, d in enumerate(bad):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(d))
         code, out, err = run(capsys, "prove", str(path))

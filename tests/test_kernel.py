@@ -58,8 +58,8 @@ def _evaluators_agree(m, kernels, formulas):
         alone += native.run(*program)
         assert alone[-3:] == pure.run(*program), f
     # all of them as one program with a root per formula
-    code, roots, _, _ = _compile_program(
-        formulas, {p: j for j, p in enumerate(m.props)})
+    code, roots = _compile_program(
+        formulas, {p: j for j, p in enumerate(m.props)}, m.agents)
     assert native.run(code, roots) == pure.run(code, roots) == alone
     return alone
 

@@ -268,6 +268,8 @@ def test_loader_reports_first_violation():
         lambda d: d["worlds"][0].update(lang="p"),
         lambda d: d.update(relations=[]),
         lambda d: d.update(agents="x"),
+        lambda d: d.update(agents=1.9),
+        lambda d: d.update(agents=True),
         lambda d: d["relations"]["1"].append(["s", "t1", "t2"]),
         lambda d: d["worlds"].append(["s"]),
         lambda d: d.pop("props"),

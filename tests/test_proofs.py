@@ -91,6 +91,37 @@ def test_1forall_side_conditions():
     assert match_axiom(vac, "1_forall")
 
 
+def test_labels_open_only_where_the_pattern_leaves_them():
+    # a bound variable named like the agent metavariable stays a name
+    f = parse("(forall #x . forall #i . A1 #i) -> forall #j . A1 #j", 1)
+    assert match_axiom(f, "1_forall") is None
+    assert match_axiom(
+        parse("(forall #x . forall #i . A1 #i) -> forall #i . A1 #i", 1),
+        "1_forall")
+    # so does a proposition named like a metavariable
+    for name in ("?x", "i", "phi"):
+        odd = Prop(name)
+        body = And(A(1, Var("x")), odd)
+        assert match_axiom(Implies(Forall("x", body),
+                                   And(A(1, Prop("p")), odd)), "1_forall")
+        assert match_axiom(Implies(Forall("x", body),
+                                   And(A(1, Prop("p")), Prop("x"))),
+                           "1_forall") is None
+        assert match_axiom(Implies(K(1, odd), odd), "T") == \
+            {"i": 1, "phi": odd}
+        assert match_axiom(Implies(K(1, odd), Prop("x")), "T") is None
+
+
+def test_gen_forall_conclusion_binds_no_inner_variable():
+    from awarecheck.proofs import _check_rule, _gen_forall_conclusion
+    phi = parse("!(!!(forall #x . forall #z . forall #y . A1 #x) & "
+                "!(forall #z . forall #y . A1 !X1 q))", 1)
+    conclusion = _gen_forall_conclusion(phi, "q")
+    assert _check_rule("Gen_forall", [phi], conclusion, q="q",
+                       x=conclusion.var) is None
+    assert conclusion.var not in ("x", "y", "z")
+
+
 def test_nforall_requires_no_free_occurrence():
     assert match_axiom(parse("q -> (forall #x . q)", 1), "N_forall")
     assert match_axiom(parse("q -> (forall #x . p)", 1), "N_forall") is None

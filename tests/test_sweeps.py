@@ -7,7 +7,7 @@ from awarecheck._kernel_py import Kernel
 from awarecheck.checker import (Corpus, _context, weak_counterexample,
                                 weakly_valid)
 from awarecheck.model import (AwarenessStructure, enumerate_models,
-                              generate_random)
+                              generate_random, load_model)
 from awarecheck.proofs import (SYSTEMS, instantiate, parse_system,
                                schema_instances, search_schema_violation,
                                soundness_sweep)
@@ -222,6 +222,19 @@ def test_batched_sweep_matches_one_sentence_path(pure, monkeypatch):
     assert [(v.name, v.model, v.formula, v.world)
             for v in report.violations] == expected
 
+    # the search's one corpus per structure finds what a one-by-one loop
+    # over the same draws finds first
+    for name in ("T", "4", "5_star", "K"):
+        hit = search_schema_violation(name, models, seed=9, system=system)
+        rng, first = random.Random(9), None
+        for m in models:
+            for inst in schema_instances(rng, name, m.props, m.agents,
+                                         system, 6, 2):
+                world = weak_counterexample(m, inst, domain)
+                if world is not None:
+                    first = first or (m, inst, world)
+        assert (hit and (hit.model, hit.formula, hit.world)) == first, name
+
     # a structure without q: the sweep raises what weak_counterexample
     # raises for the first instance that mentions q
     lacking = generate_random(1, 2, ("p",), frozenset("rte"), seed=1)
@@ -232,3 +245,15 @@ def test_batched_sweep_matches_one_sentence_path(pure, monkeypatch):
         soundness_sweep(system, models[:2] + [lacking], seed=8,
                         instances_per_schema=4)
     assert str(swept.value) == str(alone.value)
+
+
+def test_corpus_raises_what_the_first_bad_sentence_raises():
+    # K2 p is checked before the missing r of the next sentence, as
+    # weak_counterexample checks it alone
+    m = load_model("fixtures/M_barcan.json")
+    with pytest.raises(ValueError, match="unknown agent 2"):
+        weak_counterexample(m, K(2, Prop("p")))
+    with pytest.raises(ValueError, match="unknown agent 2"):
+        Corpus([K(2, Prop("p")), Prop("r")]).false_masks(m)
+    with pytest.raises(ValueError, match=r"unknown propositions \['r'\]"):
+        Corpus([K(1, Prop("p")), Prop("r"), K(2, Prop("p"))]).false_masks(m)
