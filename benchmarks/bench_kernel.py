@@ -8,6 +8,11 @@ then the c4 sweep's instance corpus (about 60 sentences) on one rte
 structure, as one program per sentence run one by one against one program
 with a root per sentence run once.
 
+A native closure keeps its output in C, so its times cover ak_close and not
+the copy into Python lists, which only the readers of the records make;
+the counts read only the closure's length.  main() prints the numbers and
+returns them as a dict, which benchmarks/bench.py records.
+
 Run:  python3 benchmarks/bench_kernel.py [--seconds 2]
 """
 
@@ -17,7 +22,7 @@ import time
 
 from awarecheck import kernel
 from awarecheck._kernel_py import Kernel
-from awarecheck.checker import KXA, _compile_program, _context, _program
+from awarecheck.checker import KXA, _compile_program, _program
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import generate_random
 from awarecheck.proofs import parse_system, schema_instances
@@ -35,28 +40,26 @@ def timed(fn, budget):
     return n / (time.perf_counter() - t0)
 
 
-def report(what, n, unit, rates):
+def report(results, what, n, unit, rates):
     for (name, _), rate in zip(CLASSES, rates):
         ratio = f" ({rate / rates[0]:.1f}x)" if name != "python" else ""
         print(f"{what:8} {name + ':':7} {rate * n:8.0f} {unit}{ratio}")
+        results[f"{what}.{name}"] = (rate * n, unit)
 
 
-def encoding(m):
-    k = _context(m, KXA).kernel
-    return k.n_worlds, k.pwm, k.ptrue, k.succ, k.aware
-
-
-def main():
+def main(argv=None):
+    """Prints each number and returns {name: (value, unit)}."""
     ap = argparse.ArgumentParser()
     ap.add_argument("--seconds", type=float, default=2.0)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     print(f"backend {kernel.BACKEND}: {kernel.BACKEND_REASON}")
+    results = {}
 
     rng = random.Random(args.seed)
     models = [generate_random(2, 4, ["p", "q"], frozenset(), seed=k)
               for k in range(32)]
-    inputs = [encoding(m) for m in models]
+    inputs = [m.encoding() for m in models]
 
     def run_closures(cls):
         def go():
@@ -64,7 +67,7 @@ def main():
                 cls(*inp).close(KXA.opcodes, 4_000_000)
         return go
 
-    report("closure", len(inputs), "models/s",
+    report(results, "closure", len(inputs), "models/s",
            [timed(run_closures(cls), args.seconds) for _, cls in CLASSES])
 
     formulas = [random_sentence(rng, ("p", "q"), 2, max_depth=4,
@@ -82,30 +85,35 @@ def main():
                     k.run(*program)
         return go
 
-    report("eval", len(inputs) * len(programs), "evals/s",
+    report(results, "eval", len(inputs) * len(programs), "evals/s",
            [timed(run_programs(cls), args.seconds) for _, cls in CLASSES])
 
-    large = encoding(generate_random(2, 12, list("pqrstu"), seed=1))
+    large = generate_random(2, 12, list("pqrstu"), seed=1).encoding()
     for name, cls in CLASSES:
         for mode, classes in (("full", 0), ("classes", 1)):
             t0 = time.perf_counter()
             records, _ = cls(*large).close(KXA.opcodes, 4_000_000, classes)
+            took = time.perf_counter() - t0
             print(f"12 worlds, 6 props, {name + ':':7} {mode:8} "
-                  f"{len(records):5} profiles in "
-                  f"{time.perf_counter() - t0:.3f} s")
+                  f"{len(records):5} profiles in {took:.3f} s")
+            results[f"large.{name}.{mode}"] = (took, "s")
+            results[f"large.{name}.{mode}.profiles"] = (len(records), "count")
 
     rng = random.Random(2009)
-    medium = [encoding(generate_random(
+    medium = [generate_random(
         rng.randint(2, 3), rng.randint(6, 8),
-        ("p", "q", "r", "s")[:rng.randint(3, 4)], seed=rng.randrange(2 ** 31)))
-        for _ in range(48)]
+        ("p", "q", "r", "s")[:rng.randint(3, 4)],
+        seed=rng.randrange(2 ** 31)).encoding() for _ in range(48)]
     name, cls = CLASSES[-1]
     for mode, classes in (("full", 0), ("classes", 1)):
         t0 = time.perf_counter()
         n = sum(len(cls(*inp).close(KXA.opcodes, 4_000_000, classes)[0])
                 for inp in medium)
+        took = time.perf_counter() - t0
         print(f"48 structures, 6-8 worlds, {name + ':':7} {mode:8} "
-              f"{n:6} profiles in {time.perf_counter() - t0:.3f} s")
+              f"{n:6} profiles in {took:.3f} s")
+        results[f"medium.{name}.{mode}"] = (took, "s")
+        results[f"medium.{name}.{mode}.profiles"] = (n, "count")
 
     # c4's corpus: AXe_KXAAstarforall+T45star, 4 instances per schema of
     # depth 3, seed 43
@@ -121,7 +129,7 @@ def main():
     print(f"corpus: {len(corpus)} sentences, {nodes} nodes one by one, "
           f"{len(code[0])} in one program")
     for name, cls in CLASSES:
-        k = cls(*encoding(m))
+        k = cls(*m.encoding())
         k.close(system.domain.opcodes, 4_000_000)
 
         def one_by_one():
@@ -136,6 +144,9 @@ def main():
         print(f"corpus   {name + ':':7} {1e6 / rates[0]:8.1f} us one by one, "
               f"{1e6 / rates[1]:8.1f} us batched per structure "
               f"({rates[1] / rates[0]:.1f}x)")
+        results[f"corpus.{name}.one_by_one"] = (1e6 / rates[0], "us")
+        results[f"corpus.{name}.batched"] = (1e6 / rates[1], "us")
+    return results
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@
    is to run (over classes) or a caller reads the profiles themselves (in
    full); ak_run must not see a program with slots before ak_close ran.
    Python owns the input buffers; the only memory that outlives a call is
-   ak_close's output, which the caller copies and then releases with
-   ak_free. */
+   ak_close's output, which the caller keeps: ak_run reads its vocab and
+   truth columns in place as the model's profiles, the caller copies out
+   only what it reads, and releases it with ak_free exactly once. */
 
 #include <stdint.h>
 #include <stdlib.h>

@@ -105,36 +105,19 @@ class OracleBudgetExceeded(RuntimeError):
 
 
 class _Context:
-    """Per-(structure, domain) evaluation state: one kernel holding the
-    bitmask encoding and, once close() has run, the closed profiles, and the
-    closure's records.  classes is None before the closure, else its mode,
-    _CLASSES or _FULL."""
+    """Per-(structure, domain) evaluation state: one kernel over the
+    structure's encoding and, once close() has run, the closed profiles and
+    the closure's records and layers (copied out of C only when read).
+    classes is None before the closure, else its mode, _CLASSES or _FULL."""
 
     def __init__(self, m, domain):
         self.domain = domain
         self.worlds = m.worlds
         self.props = m.props
-        self.widx = widx = {w: i for i, w in enumerate(m.worlds)}
-        pidx = {p: j for j, p in enumerate(m.props)}
-        nw = len(m.worlds)
-        # the one model encoding that every kernel takes (see _kernel_py)
-        succ = [[0] * nw for _ in range(m.agents)]
-        for i in range(1, m.agents + 1):
-            for (s, t) in m.rel[i]:
-                succ[i - 1][widx[s]] |= 1 << widx[t]
-        encoding = (
-            nw,
-            [sum(1 << widx[w] for w in m.worlds if p in m.lang[w])
-             for p in m.props],
-            [sum(1 << widx[w] for w in m.worlds if p in m.val[w])
-             for p in m.props],
-            succ,
-            [[sum(1 << pidx[p] for p in m.aware[i][w]) for w in m.worlds]
-             for i in range(1, m.agents + 1)])
         # the one backend choice: native when built and the masks fit
-        native = BACKEND == "c" and max(nw, len(m.props)) <= MASK_BITS
+        native = BACKEND == "c" and len(m.worlds) <= MASK_BITS >= len(m.props)
         self.kernel = (NativeKernel if native else _kernel_py.Kernel)(
-            *encoding)
+            *m.encoding())
         self.classes = self.records = self.layers = self.stab_depth = None
         self.dom = self.kernel.dom
 
@@ -147,14 +130,15 @@ class _Context:
             self.records, self.layers = close_profiles(self.kernel,
                                                        self.domain, classes)
             self.classes = classes
-            self.stab_depth = max(self.layers, default=0)
+            self.stab_depth = max(self.layers, default=0) \
+                if classes == _FULL else None  # its readers close in full
             self._witnesses = {}
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
         world's language."""
         depth = 0
-        for (vocab, _), layer in zip(self.kernel.profiles, self.layers):
+        for (vocab, *_), layer in zip(self.records, self.layers):
             if (self.dom(vocab) >> w) & 1 and layer > depth:
                 depth = layer
         return depth
@@ -350,16 +334,16 @@ def _sentence_masks(m, f, domain):
 def evaluate(m, world, f, domain=KXA):
     """Three-valued truth of the sentence f at a world."""
     ctx, vocab, truth, _ = _sentence_masks(m, f, domain)
-    if world not in ctx.widx:
+    if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
-    return _truth_at(ctx, ctx.widx[world], vocab, truth)
+    return _truth_at(ctx, m.worlds.index(world), vocab, truth)
 
 
 def satisfying_worlds(m, f, domain=KXA):
     """Worlds where the sentence f is True, in model order."""
     ctx, vocab, truth, _ = _sentence_masks(m, f, domain)
     mask = ctx.dom(vocab) & truth
-    return [w for w in ctx.worlds if (mask >> ctx.widx[w]) & 1]
+    return [w for j, w in enumerate(ctx.worlds) if (mask >> j) & 1]
 
 
 def weak_counterexample(m, f, domain=KXA):
@@ -377,12 +361,12 @@ def realizable_profiles(m, domain=KXA):
     in fixpoint discovery order, each with a minimal-depth witness."""
     ctx = _context(m, domain, full=True)
     out = []
-    for idx, (vocab, truth) in enumerate(ctx.kernel.profiles):
+    for idx, (vocab, truth, *_) in enumerate(ctx.records):
         vset = frozenset(ctx.props[j] for j in range(len(ctx.props))
                          if (vocab >> j) & 1)
         d = ctx.dom(vocab)
-        tmap = {w: bool((truth >> ctx.widx[w]) & 1)
-                for w in ctx.worlds if (d >> ctx.widx[w]) & 1}
+        tmap = {w: bool((truth >> j) & 1)
+                for j, w in enumerate(ctx.worlds) if (d >> j) & 1}
         out.append(Profile(vset, tmap, ctx.witness_formula(idx)))
     return out
 
@@ -400,10 +384,12 @@ def forall_witness(m, world, f, domain=KXA):
     quantifier is responsible."""
     code, roots = _program(m, f)
     ctx = _context(m, domain, code)
-    if world not in ctx.widx:
+    if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
+    if not code[6]:  # every binder has a slot: no quantifier, no witness
+        return None
     ctx.kernel.load(code)
-    return _quantifier_witness(ctx, ctx.widx[world], roots[0])
+    return _quantifier_witness(ctx, m.worlds.index(world), roots[0])
 
 
 def _truth_at(ctx, w, vocab, truth):
@@ -632,7 +618,7 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
                          f"{sorted(fv)}")
     _program(m, Forall(var, body))
     ctx = _context(m, domain, full=True)
-    if world not in ctx.widx:
+    if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
     lang = m.lang[world]
     widx = m.worlds.index(world)

@@ -9,7 +9,6 @@ the evaluation of a quantified sentence close the profiles, so only they
 can fail on the closure.
 """
 
-import argparse
 import functools
 import json
 import random
@@ -309,7 +308,8 @@ def _add_common(p, domain=True):
 
 @functools.cache
 def build_parser():
-    """The argument parser; built once per process."""
+    """The argument parser, built, and argparse imported, once."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="awarecheck",
         description="Model checking and proof checking for epistemic logics "

@@ -22,27 +22,56 @@ import ctypes
 import os
 import zlib
 from array import array
+from functools import cached_property
 
 from . import _kernel_py
 
 MASK_BITS = 64
-_PTR, _INT = ctypes.c_void_p, ctypes.c_int64
+_PTR, _INT, _MASKS = ctypes.c_void_p, ctypes.c_int64, \
+    ctypes.POINTER(ctypes.c_uint64)
 
 
 class _Records(ctypes.Structure):  # the closure's output, as in _kernel.c
     _fields_ = [("count", _INT), ("cap", _INT)] + [
-        (name, ctypes.POINTER(ctypes.c_uint64 if name in ("vocab", "truth")
-                              else _INT))
+        (name, _MASKS if name in ("vocab", "truth") else ctypes.POINTER(_INT))
         for name in ("vocab", "truth", "op", "a1", "a2", "aux", "layer",
                      "key")] + \
         [("table", _PTR), ("mask", _INT), ("failed", _INT)]
+
+    def __del__(self):
+        _lib.ak_free(self)
+
+
+class _Copied:
+    """Columns of a closure kept in C: len() reads the count, any other
+    read copies them into a list, of tuples for several columns, once."""
+
+    def __init__(self, out, *names):
+        self.out, self.names = out, names
+
+    def __len__(self):
+        return self.out.count
+
+    @cached_property
+    def cols(self):
+        return [getattr(self.out, name)[:len(self)] for name in self.names]
+
+    @cached_property
+    def rows(self):
+        return list(zip(*self.cols)) if len(self.cols) > 1 else self.cols[0]
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 class _Model(ctypes.Structure):  # a model's buffers, as in _kernel.c
     _fields_ = [(name, _INT) for name in ("n_worlds", "n_props", "n_agents",
                                           "n_profiles")] + [
-        (name, _PTR)
-        for name in ("pwm", "ptrue", "succ", "aware", "prof_v", "prof_f")]
+        (name, _PTR) for name in ("pwm", "ptrue", "succ", "aware")] + [
+        ("prof_v", _MASKS), ("prof_f", _MASKS)]
 
 
 def _load():
@@ -89,8 +118,10 @@ class NativeKernel(_kernel_py.Kernel):
     results, for programs whose columns and roots are array('i') buffers
     (see checker._compile_program).  The model is marshalled into one _Model
     at construction; close() points its profile columns at the closure's
-    output, which run() then reads, for all of a program's roots in one
-    call."""
+    output, which run() then reads in place, for all of a program's roots in
+    one call.  The output stays in C: the records, the layers and, for the
+    pure walker, the profiles are copied out once, when first read, and it
+    is freed once, when the kernel closes again or is collected."""
 
     def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
         super().__init__(n_worlds, prop_world_masks, prop_true, succ, aware)
@@ -99,31 +130,30 @@ class NativeKernel(_kernel_py.Kernel):
                         for rows in (succ, aware)))
         self._model = _Model(n_worlds, len(prop_true), len(succ), 0,
                              *map(_addr, self._bufs))
+        self._records = None  # the last closure's, kept in C
 
     def close(self, ops, max_profiles, classes=0):
         out = _Records()
-        try:
-            rc = _lib.ak_close(self._model, ops, max_profiles, classes, out)
-            if rc:
-                raise MemoryError("profile closure") if rc < 0 else \
-                    RuntimeError(
-                        f"profile closure exceeded {max_profiles} profiles")
-            n = out.count
-            cols = [getattr(out, name)[:n] for name in
-                    ("vocab", "truth", "op", "a1", "a2", "aux", "layer")]
-        finally:
-            _lib.ak_free(out)
-        self.profiles = list(zip(cols[0], cols[1]))
-        self.program = None  # node values over the former profiles
-        self._prof = array("Q", cols[0]), array("Q", cols[1])
+        rc = _lib.ak_close(self._model, ops, max_profiles, classes, out)
+        if rc:
+            raise MemoryError("profile closure") if rc < 0 else RuntimeError(
+                f"profile closure exceeded {max_profiles} profiles")
         model = self._model
-        model.n_profiles = n
-        model.prof_v, model.prof_f = map(_addr, self._prof)
-        return list(zip(*cols[:6])), cols[6]
+        model.n_profiles = out.count
+        model.prof_v, model.prof_f = out.vocab, out.truth
+        self._records = _Copied(out, "vocab", "truth", "op", "a1", "a2", "aux")
+        self.profiles = None  # copied from C by the first load()
+        self.program = None  # node values over the former profiles
+        return self._records, _Copied(out, "layer")
+
+    def load(self, program):  # only the pure walker reads the profiles
+        if self.profiles is None and self._records is not None:
+            self.profiles = list(zip(*self._records.cols[:2]))
+        super().load(program)
 
     def run(self, program, roots):
         op, a1, a2, aux, _, _, nslots = program
-        if nslots and self.profiles is None:
+        if nslots and self._records is None:
             raise RuntimeError("quantified program on an unclosed kernel")
         out = array("Q", bytes(24 * len(roots)))
         if _lib.ak_run(self._model, _addr(op), _addr(a1), _addr(a2),

@@ -10,7 +10,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import product
 from operator import and_
 
@@ -45,28 +45,29 @@ class AwarenessStructure:
 
     With check=True the inputs are copied, frozen and validated.  With
     check=False they are adopted as given, which must be their frozen form:
-    props and worlds as tuples, lang and val as dicts from world to
-    frozenset, rel as a dict from agent to a frozenset of (world, world)
-    tuples, aware as a dict from agent to a dict from world to frozenset.
-    Such a structure shares these maps with its caller, and neither may
-    change them.
+    agents as an int, props and worlds as tuples, lang and val as dicts from
+    world to frozenset, rel as a dict from agent to a frozenset of (world,
+    world) tuples, aware as a dict from agent to a dict from world to
+    frozenset.  Such a structure shares these maps with its caller, and
+    neither may change them.
     """
 
     __slots__ = ("agents", "props", "worlds", "lang", "val", "rel", "aware",
-                 "_ctx_cache")
+                 "_ctx_cache", "_encoding")
 
     def __init__(self, agents, props, worlds, lang, val, rel, aware,
                  check=True):
+        self._ctx_cache = {}
+        if not check:
+            self.agents, self.props, self.worlds = agents, props, worlds
+            self.lang, self.val, self.rel, self.aware = lang, val, rel, aware
+            return
         self.agents = int(agents)
         self.props = tuple(props)
         self.worlds = tuple(worlds)
-        self._ctx_cache = {}
-        if not check:
-            self.lang, self.val, self.rel, self.aware = lang, val, rel, aware
-            return
         self.lang = {w: frozenset(lang[w]) for w in self.worlds}
         self.val = {w: frozenset(val[w]) for w in self.worlds}
-        self.rel = {i: frozenset(tuple(p) for p in rel[i])
+        self.rel = {i: frozenset(map(tuple, rel[i]))
                     for i in range(1, self.agents + 1)}
         self.aware = {i: {w: frozenset(aware[i][w]) for w in self.worlds}
                       for i in range(1, self.agents + 1)}
@@ -108,19 +109,32 @@ class AwarenessStructure:
                         f"A_{i}({s!r}) not contained in the language of the "
                         f"successor {t!r}")
 
+    def encoding(self):
+        """The kernels' model encoding (see _kernel_py) as tuples, attached
+        by the generators from their masks, else derived once from the sets."""
+        if not hasattr(self, "_encoding"):
+            worlds, agents = self.worlds, range(1, self.agents + 1)
+            widx = {w: j for j, w in enumerate(worlds)}
+            bit = {p: 1 << j for j, p in enumerate(self.props)}
+            succ = [[0] * len(worlds) for _ in agents]
+            for i in agents:
+                for s, t in self.rel[i]:
+                    succ[i - 1][widx[s]] |= 1 << widx[t]
+            self._encoding = (
+                len(worlds),
+                *[tuple([sum([1 << j for j, w in enumerate(worlds)
+                              if p in sets[w]]) for p in self.props])
+                  for sets in (self.lang, self.val)],
+                tuple(map(tuple, succ)),
+                tuple([tuple([sum(map(bit.__getitem__, self.aware[i][w]))
+                              for w in worlds]) for i in agents]))
+        return self._encoding
+
     def successors(self, agent, world):
         return [t for (s, t) in sorted(self.rel[agent]) if s == world]
 
     def key(self):
-        return (
-            self.agents, self.props, self.worlds,
-            tuple(tuple(sorted(self.lang[w])) for w in self.worlds),
-            tuple(tuple(sorted(self.val[w])) for w in self.worlds),
-            tuple(tuple(sorted(self.rel[i]))
-                  for i in range(1, self.agents + 1)),
-            tuple(tuple(tuple(sorted(self.aware[i][w])) for w in self.worlds)
-                  for i in range(1, self.agents + 1)),
-        )
+        return self.agents, self.props, self.worlds, self.encoding()
 
     def __eq__(self, other):
         return (isinstance(other, AwarenessStructure)
@@ -300,12 +314,16 @@ def swap_model(m, p, p2):
 # masks: bit t of succ[s] is set when s relates to t.  validate() reads the
 # pairs instead, so that it checks this code rather than sharing it.
 
+@lru_cache(maxsize=1 << 12)
 def _bits(mask):
     """The indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _transpose(masks, n):
+    """Per bit j < n, the mask of the indices of the masks that have it."""
+    return tuple(sum(1 << w for w, mask in enumerate(masks) if mask >> j & 1)
+                 for j in range(n))
 
 
 def _close(succ, model_class):
@@ -360,42 +378,52 @@ def generate_random(agents, n_worlds, props, model_class=frozenset(),
     Sampling strategy: languages and valuations first, then relations closed
     under the class properties, then one awareness vocabulary per connected
     component drawn from the intersection of the component's languages (which
-    makes ka and containment hold by construction).
+    makes ka and containment hold by construction).  So only the arguments
+    are checked, and the structure is built with check=False.
     """
     if not props:
         raise ValueError("need at least one proposition")
+    if agents < 1 or len(set(props)) < len(props):
+        raise InvalidStructure("need at least one agent" if agents < 1
+                               else "duplicate proposition ids")
     if rng is None:
         rng = random.Random(seed)
     props = tuple(props)
+    pidx = {p: j for j, p in enumerate(props)}
     worlds = tuple(f"w{j}" for j in range(n_worlds))
-    lang = {}
-    val = {}
-    for w in worlds:
-        chosen = [p for p in props if rng.random() < 0.75]
-        if not chosen:
-            chosen = [rng.choice(props)]
-        lang[w] = frozenset(chosen)
+    lang, val, pwm, ptrue = {}, {}, [0] * len(props), [0] * len(props)
+    for j, w in enumerate(worlds):
+        lang[w] = frozenset([p for p in props if rng.random() < 0.75]
+                            or [rng.choice(props)])
         val[w] = frozenset(p for p in sorted(lang[w]) if rng.random() < 0.5)
-    rel = {}
-    aware = {}
+        for sets, masks in ((lang, pwm), (val, ptrue)):
+            for p in sets[w]:
+                masks[pidx[p]] |= 1 << j
+    rel, aware, succs, aware_rows = {}, {}, [], []
     for i in range(1, agents + 1):
         succ = _close([sum(1 << t for t in range(n_worlds)
                            if rng.random() < density)
                        for _ in worlds], model_class)
-        rel[i] = [(worlds[s], worlds[t]) for s in range(n_worlds)
-                  for t in _bits(succ[s])]
-        aware[i] = {}
+        rel[i] = frozenset((worlds[s], worlds[t]) for s in range(n_worlds)
+                           for t in _bits(succ[s]))
+        aware[i], row = {}, [0] * n_worlds
         for comp in _mask_components(succ):
-            members = [worlds[w] for w in _bits(comp)]
-            shared = sorted(frozenset.intersection(*[lang[w]
+            members = _bits(comp)
+            shared = sorted(frozenset.intersection(*[lang[worlds[w]]
                                                      for w in members]))
             picked = frozenset(p for p in shared if rng.random() < 0.5)
             if require_nonempty_awareness and shared and not picked:
                 picked = frozenset((rng.choice(shared),))
+            mask = sum(1 << pidx[p] for p in picked)
             for w in members:
-                aware[i][w] = picked
-    return AwarenessStructure(agents, props, worlds, lang, val, rel, aware,
-                              check=True)
+                aware[i][worlds[w]], row[w] = picked, mask
+        succs.append(succ)
+        aware_rows.append(tuple(row))
+    m = AwarenessStructure(agents, props, worlds, lang, val, rel, aware,
+                           check=False)
+    m._encoding = (n_worlds, tuple(pwm), tuple(ptrue), tuple(succs),
+                   tuple(aware_rows))
+    return m
 
 
 # --- exhaustive enumeration ------------------------------------------------
@@ -490,25 +518,33 @@ def enumerate_models(agents, max_worlds, props, model_class=frozenset(),
         for langs, inters in _languages(k, len(props), constant_language,
                                         splits):
             lang_map = {w: as_set(lang) for w, lang in zip(worlds, langs)}
-            # per split, each awareness choice as a map from world to set
-            aware_maps = [
-                [{worlds[w]: as_set(chosen)
-                  for (comp, _), chosen in zip(pairs, choice)
-                  for w in _bits(comp)}
-                 for choice in product(*[_subsets(inter)
-                                         for _, inter in pairs])]
-                for pairs in inters]
-            val_maps = [dict(zip(worlds, map(as_set, vals)))
+            pwm = _transpose(langs, len(props))
+            # per split, each awareness choice as a map from world to set,
+            # with its mask per world: that of the world's component
+            aware_maps = []
+            for pairs in inters:
+                owner = [c for w in range(k)
+                         for c, (comp, _) in enumerate(pairs) if comp >> w & 1]
+                rows = [tuple(map(choice.__getitem__, owner)) for choice in
+                        product(*[_subsets(inter) for _, inter in pairs])]
+                aware_maps.append([(dict(zip(worlds, map(as_set, row))), row)
+                                   for row in rows])
+            val_maps = [(dict(zip(worlds, map(as_set, vals))),
+                         _transpose(vals, len(props)))
                         for vals in product(*map(_subsets, langs))]
             for rel_idx in product(range(len(rels)), repeat=agents):
                 rel_map = {i: rel_pairs[r] for i, r in zip(agent_ids, rel_idx)}
-                for aware_choice in product(*[aware_maps[split_of[r]]
-                                              for r in rel_idx]):
-                    aware_map = dict(zip(agent_ids, aware_choice))
-                    for val_map in val_maps:
-                        yield AwarenessStructure(
+                succ = tuple(rels[r] for r in rel_idx)
+                for choice in product(*[aware_maps[split_of[r]]
+                                        for r in rel_idx]):
+                    aware_map = {i: c[0] for i, c in zip(agent_ids, choice)}
+                    aware_rows = tuple(c[1] for c in choice)
+                    for val_map, ptrue in val_maps:
+                        m = AwarenessStructure(
                             agents, props, worlds, lang_map, val_map,
                             rel_map, aware_map, check=False)
+                        m._encoding = (k, pwm, ptrue, succ, aware_rows)
+                        yield m
 
 
 # --- JSON ------------------------------------------------------------------

@@ -184,6 +184,7 @@ def test_bad_bounds_are_errors(capsys):
     # arguments the model builders refuse are exit 2, never 1 ("False");
     # the last two pass the enumeration cap of 20M models
     for argv in (["gen", "--props", ","], ["gen", "--class", "xyz"],
+                 ["gen", "--agents", "0"], ["gen", "--props", "p,q,p"],
                  ["sweep", "AXe_KAstar", "--class", "q"],
                  ["enum", "--max-worlds", "5"],
                  ["enum", "--max-worlds", "3", "--props", "p,q,r"],

@@ -1,4 +1,4 @@
-import ctypes
+import gc
 import os
 import random
 import shutil
@@ -13,8 +13,9 @@ from awarecheck import checker, kernel
 from awarecheck._kernel_py import Kernel
 from awarecheck.checker import (KXA, XA, QuantifierDomain, _compile_program,
                                 _context, _program, evaluate, forall_witness,
+                                realizable_profiles, stabilization_depth,
                                 weak_counterexample)
-from awarecheck.fuzz import random_sentence
+from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import AwarenessStructure, generate_random
 from awarecheck.syntax import (TOP, A, And, Forall, K, Not, Prop, Var, X,
                                free_vars, parse)
@@ -41,11 +42,11 @@ def _closures_agree(m, domain, classes=0):
                for cls in (Kernel, kernel.NativeKernel)]
     pure, native = (k.close(domain.opcodes, 4_000_000, classes)
                     for k in kernels)
-    assert pure == native
-    # the profile columns ak_run reads, as many as it reads
+    assert pure == tuple(map(list, native))
+    # the profile columns ak_run reads in place, as many as it reads
     model = kernels[1]._model
-    vocab, truth = ((ctypes.c_uint64 * model.n_profiles).from_address(addr)
-                    for addr in (model.prof_v, model.prof_f))
+    vocab, truth = (col[:model.n_profiles]
+                    for col in (model.prof_v, model.prof_f))
     assert list(zip(vocab, truth)) == kernels[0].profiles
     return kernels
 
@@ -223,6 +224,86 @@ def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
             _context(m, domain, full=True)
             assert _answers(m, domain, formulas) == native
             assert _context(m, domain).classes == 0
+
+
+def test_closure_copied_when_read_and_freed_once(monkeypatch):
+    # a class closure, then the profiles themselves (a full re-close), then
+    # the witness search give the same answers, bit for bit, on native and
+    # pure contexts; each native closure's _Records is released exactly
+    # once: when its kernel closes again, and when the kernel is collected
+    closed, freed = [], []
+    if kernel.BACKEND == "c":
+        lib = kernel._lib
+        real_close, real_free = lib.ak_close, lib.ak_free
+
+        def ak_close(model, ops, cap, classes, out):
+            out.serial = len(closed)
+            closed.append(out.serial)
+            return real_close(model, ops, cap, classes, out)
+
+        monkeypatch.setattr(lib, "ak_close", ak_close)
+        monkeypatch.setattr(lib, "ak_free", lambda out: freed.append(
+            out.serial) or real_free(out))
+    rng = random.Random(8)
+    for seed in range(12):
+        m = generate_random(2, 3 + seed % 4, ["p", "q", "r"], seed=seed)
+        fs = [Forall("x", random_open_formula(rng, m.props, m.agents, "x",
+                                              max_depth=3))
+              for _ in range(4)]
+        answers = []
+        for cls in (kernel.NativeKernel, Kernel):
+            m._ctx_cache.clear()
+            gc.collect()
+            assert sorted(freed) == closed
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(checker, "NativeKernel", cls)
+                verdicts = [[evaluate(m, w, f) for w in m.worlds]
+                            for f in fs]
+                n = len(closed)
+                profiles = realizable_profiles(m)
+                ctx = _context(m, KXA)
+                # the class closure's handle went with the full re-close,
+                # and only the full closure's, if native, is live
+                assert sorted(freed) + closed[n:] == closed
+                answers.append((
+                    verdicts, profiles, stabilization_depth(m),
+                    [[forall_witness(m, w, f) for w in m.worlds]
+                     for f in fs],
+                    list(ctx.kernel.profiles), list(ctx.records),
+                    list(ctx.layers), ctx.classes))
+                del ctx
+        assert answers[0] == answers[1]
+    m._ctx_cache.clear()
+    gc.collect()
+    assert sorted(freed) == closed
+    assert len(closed) == 24 * (kernel.BACKEND == "c")
+
+
+def test_witnesses_agree_over_class_and_full_closure():
+    # the class closure may find a class through another vocabulary than
+    # the full closure, yet the witness search names the same sentences
+    rng = random.Random(31)
+    found = merged = 0
+    for seed in range(24):
+        m = generate_random(2, 4 + seed % 3, ["p", "q", "r"], seed=seed)
+        fs = [Forall("x", random_open_formula(rng, m.props, m.agents, "x",
+                                              max_depth=3))
+              for _ in range(3)]
+        fs += [random_sentence(rng, m.props, m.agents, max_depth=4,
+                               quantifier_prob=0.4) for _ in range(3)]
+        got, sizes = [], []
+        for full in (False, True):
+            m._ctx_cache.clear()
+            _context(m, KXA, full=full)
+            got.append([[forall_witness(m, w, f) for w in m.worlds]
+                        for f in fs])
+            ctx = _context(m, KXA)
+            if ctx.classes is not None:
+                sizes.append(len(ctx.records))
+        assert got[0] == got[1]
+        found += sum(w is not None for row in got[0] for w in row)
+        merged += len(sizes) == 2 and sizes[0] < sizes[1]
+    assert found > 50 and merged > 12
 
 
 def test_one_kernel_per_context(monkeypatch):

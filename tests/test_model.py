@@ -168,6 +168,37 @@ def test_generated_awareness_constant_on_components():
             assert m.aware[1][s] == m.aware[1][t]
 
 
+def test_attached_encoding_is_the_derived_one():
+    # generation and enumeration attach the kernels' encoding from their
+    # masks; the same structure built plainly derives it from its sets
+    def derived(m):
+        return AwarenessStructure(m.agents, m.props, m.worlds, m.lang, m.val,
+                                  m.rel, m.aware, check=False).encoding()
+
+    streams = [enumerate_models(1, 2, ("p", "q")),
+               enumerate_models(1, 2, ("p", "q"), constant_language=True),
+               enumerate_models(1, 2, ("p", "q"), frozenset("rte")),
+               enumerate_models(2, 2, ("p",)),
+               enumerate_models(0, 2, ("p", "q"))]
+    n = 0
+    for m in itertools.chain(*streams):
+        assert m._encoding == derived(m) and m.encoding() is m._encoding
+        n += 1
+    assert n > 1000
+    # no agents: every structure is still yielded, with empty agent rows
+    assert sum(1 for _ in enumerate_models(0, 2, ("p", "q"))) \
+        == count_models(0, 2, ("p", "q")) == 72
+    for seed in range(40):
+        for cls in ("", "r", "t", "e", "rt", "re", "te", "rte"):
+            m = generate_random(1 + seed % 3, 1 + seed % 4, ("p", "q", "r"),
+                                parse_model_class(cls), seed=seed,
+                                require_nonempty_awareness=seed % 2 == 1)
+            assert m._encoding == derived(m)
+            # built unchecked, yet the constructor's checks pass on it
+            assert AwarenessStructure(m.agents, m.props, m.worlds, m.lang,
+                                      m.val, m.rel, m.aware) == m
+
+
 def test_one_world_forced_shape():
     m = generate_random(2, 1, ["p"], frozenset("r"), seed=0)
     assert m.lang["w0"] == {"p"}

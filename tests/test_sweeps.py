@@ -108,9 +108,13 @@ def test_sweep_reports_mp_finding_as_expected():
     report = soundness_sweep("AXe_KXAAstarforall+T45star", [m], seed=5,
                              instances_per_schema=3, check_rules=True,
                              rule_samples=10)
-    # schemas stay clean; any rule findings must be of the expected kinds
-    assert not report.violations
-    assert all(v.name in ("MP", "Gen_forall") for v in report.rule_findings)
+    # MP fails on this structure, but the sweep cannot see it: premises
+    # drawn from its weakly valid instances give a weakly valid conclusion,
+    # so MP is neither drawn nor expected; schemas stay clean, and any rule
+    # finding is an expected Gen_forall one
+    assert report.expected_rules == ("Gen_forall",)
+    assert not report.violations and report.ok()
+    assert all(v.name == "Gen_forall" for v in report.rule_findings)
 
 
 def test_rule_preservation_gen_x_gen_star():
@@ -120,8 +124,7 @@ def test_rule_preservation_gen_x_gen_star():
     report = soundness_sweep("AXe_KXAAstarforall+T45star", models, rng=rng,
                              instances_per_schema=3, check_rules=True,
                              rule_samples=3)
-    hard = [v for v in report.rule_findings
-            if v.name not in ("MP", "Gen_forall")]
+    hard = [v for v in report.rule_findings if v.name != "Gen_forall"]
     assert hard == [], [v.describe() for v in hard]
 
 
