@@ -28,7 +28,7 @@ from ._kernel_py import (P_A, P_AND, P_FORALL, P_K, P_NOT, P_PROP, P_TOP,
 from .kernel import BACKEND, MASK_BITS, NativeKernel
 from .model import AwarenessStructure
 from .syntax import (TOP, A, And, Forall, K, Not, Prop, Top, Var, X,
-                     free_vars, is_quantifier_free, vocabulary)
+                     is_quantifier_free)
 from .syntax import _subst_var
 
 __all__ = [
@@ -45,6 +45,7 @@ _FULL, _CLASSES = 0, 1
 _OPCODES = {"not": P_NOT, "and": P_AND, "K": P_K, "A": P_A, "X": P_X}
 _ALLOWED_OPS = frozenset(_OPCODES)
 _MODAL = {P_K: K, P_A: A, P_X: X}
+_MODAL_CODES = {op: code for code, op in _MODAL.items()}
 
 
 class Truth(Enum):
@@ -183,9 +184,8 @@ def _context(m, domain, code=None, full=False):
     return ctx
 
 
-# id(sentence) -> {proposition order: _compile_program result}; an entry
-# leaves with its sentence, so the cache keeps no formula alive
-_COMPILED = {}
+# sentence -> {proposition order: _compile_program result}, weakly keyed
+_COMPILED = weakref.WeakKeyDictionary()
 
 
 def _compiled_for(m, cache, sentences):
@@ -202,11 +202,7 @@ def _compiled_for(m, cache, sentences):
 def _program(m, f):
     """(code, roots) of the sentence f, compiled once per proposition order
     and agent count; ValueError if f is not a sentence of m."""
-    per = _COMPILED.get(id(f))
-    if per is None:
-        per = _COMPILED[id(f)] = {}
-        weakref.finalize(f, _COMPILED.pop, id(f), None).atexit = False
-    return _compiled_for(m, per, [f])
+    return _compiled_for(m, _COMPILED.setdefault(f, {}), [f])
 
 
 class Corpus:
@@ -237,84 +233,67 @@ def _compile_program(sentences, pidx, n_agents):
     """Flattens sentences into one program: (code, roots).  code is the
     program in the kernels' format (see _kernel_py): four array('i')
     columns, per node the propositions it mentions and the slots it uses,
-    and the slot count.  A node is stored once however often it occurs, and
-    so is a closed quantified subformula, so sentences share their common
-    subformulas.  roots holds each sentence's node as an array('i').  Each
-    binder compiled gets a slot of its own, so shadowing allocates a fresh
-    one.  Raises ValueError at the first sentence with a free variable, a
-    proposition missing from pidx or an agent outside 1..n_agents, with the
-    message that sentence raises alone."""
+    and the slot count.  roots holds each sentence's node as an array('i').
+    A subformula is compiled once per binding of its free variables, so
+    sentences share their common subformulas, and each binder compiled gets
+    a slot of its own.  Raises ValueError at the first sentence with a free
+    variable, a proposition missing from pidx or an agent outside
+    1..n_agents, with the message that sentence raises alone."""
     cols = ops, a1, a2, aux = [], [], [], []
     vocab, used = [], []
-    index, closed = {}, {}
+    index = {}
     nslots = 0
     agents = set()
 
-    def push(code, x=-1, y=-1, z=-1):
-        node = (code, x, y, z)
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(ops)
-            for col, value in zip(cols, node):
-                col.append(value)
-            if code == P_PROP:
-                v, u = 1 << z, ()
-            elif code == P_VAR:
-                v, u = 0, (z,)
-            elif code == P_TOP:
-                v, u = 0, ()
-            else:
-                v, u = vocab[x], used[x]
-                if code == P_AND:
-                    v |= vocab[y]
-                    u = tuple(sorted({*u, *used[y]}))
-                elif code == P_FORALL:
-                    u = tuple(s for s in u if s != z)
-            vocab.append(v)
-            used.append(u)
-        return i
-
     def go(g, slots):
         nonlocal nslots
-        if isinstance(g, Prop):
-            if g.name not in pidx:
-                raise ValueError(f"formula mentions unknown propositions "
-                                 f"{sorted(vocabulary(f) - set(pidx))}")
-            return push(P_PROP, z=pidx[g.name])
-        if isinstance(g, Top):
-            return push(P_TOP)
-        if isinstance(g, Var):
-            if g.name not in slots:
-                raise ValueError(f"not a sentence; free variables "
-                                 f"{sorted(free_vars(f))}")
-            return push(P_VAR, z=slots[g.name])
-        if isinstance(g, Not):
-            return push(P_NOT, go(g.body, slots))
-        if isinstance(g, And):
-            left = go(g.left, slots)
-            return push(P_AND, left, go(g.right, slots))
-        if isinstance(g, (K, A, X)):
-            agents.add(g.agent)
-            code = P_K if isinstance(g, K) else \
-                P_A if isinstance(g, A) else P_X
-            return push(code, go(g.body, slots), z=g.agent - 1)
-        if isinstance(g, Forall):
-            i = closed.get(g)
-            if i is None:
-                s = nslots
-                nslots += 1
-                i = push(P_FORALL, go(g.body, {**slots, g.var: s}), z=s)
-                if not used[i]:
-                    closed[g] = i
+        # a node is keyed on its formula and the slots it uses
+        u = tuple(sorted(map(slots.__getitem__, g.fvars))) if g.fvars else ()
+        key = (g, u) if u else g
+        i = index.get(key)
+        if i is not None:
             return i
-        raise TypeError(f"not a formula: {g!r}")
+        x = y = z = -1
+        if isinstance(g, Prop):
+            code, z = P_PROP, pidx[g.name]
+        elif isinstance(g, Top):
+            code = P_TOP
+        elif isinstance(g, Var):
+            code, z = P_VAR, slots[g.name]
+        elif isinstance(g, Not):
+            code, x = P_NOT, go(g.body, slots)
+        elif isinstance(g, And):
+            code, x, y = P_AND, go(g.left, slots), go(g.right, slots)
+        elif isinstance(g, (K, A, X)):
+            agents.add(g.agent)
+            code, z = _MODAL_CODES[type(g)], g.agent - 1
+            x = go(g.body, slots)
+        elif isinstance(g, Forall):
+            code, z = P_FORALL, nslots
+            nslots += 1
+            x = go(g.body, {**slots, g.var: z})
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        i = index[key] = len(ops)
+        for col, value in zip(cols, (code, x, y, z)):
+            col.append(value)
+        vocab.append(1 << z if code == P_PROP else vocab[x] | vocab[y]
+                     if code == P_AND else vocab[x] if x >= 0 else 0)
+        used.append(u)
+        return i
 
     roots = array("i")
     for f in sentences:
+        if f.fvars:
+            raise ValueError(f"not a sentence; free variables "
+                             f"{sorted(f.fvars)}")
+        if not f.vocab <= pidx.keys():
+            raise ValueError(f"formula mentions unknown propositions "
+                             f"{sorted(f.vocab - pidx.keys())}")
         agents.clear()
         roots.append(go(f, {}))
-        # a closed quantified subformula met before is not walked again,
-        # but its agents passed then, so the message stays the same
+        # a closed subformula met before is not walked again, but its
+        # agents passed then, so the message stays the same
         low, high = min(agents, default=1), max(agents, default=0)
         if high > n_agents or low < 1:
             raise ValueError(
@@ -453,18 +432,15 @@ def qf_sentences(props, n_agents, domain, depth, cap=None):
 
     last = list(out)
     ops = domain.ops
+    modal = [op for op in (K, A, X) if op.__name__ in ops]
     for _ in range(depth):
         new = []
         for f in last:
             if "not" in ops:
                 push(Not(f), new)
             for i in range(1, n_agents + 1):
-                if "K" in ops:
-                    push(K(i, f), new)
-                if "A" in ops:
-                    push(A(i, f), new)
-                if "X" in ops:
-                    push(X(i, f), new)
+                for op in modal:
+                    push(op(i, f), new)
         if "and" in ops:
             for f in last:
                 for g in out:
@@ -493,47 +469,23 @@ def direct_evaluate(m, world, f, domain=KXA, forall_depth=2, memo=None,
 
 
 def _oracle_state(m, memo, cap):
-    succs = m._ctx_cache.get("oracle_succs")
-    if succs is None:
-        succs = {i: {w: [] for w in m.worlds} for i in range(1, m.agents + 1)}
-        for i in range(1, m.agents + 1):
-            for (s, t) in sorted(m.rel[i],
-                                 key=lambda p: (m.worlds.index(p[0]),
-                                                m.worlds.index(p[1]))):
-                succs[i][s].append(m.worlds.index(t))
-        m._ctx_cache["oracle_succs"] = succs
+    if "oracle_succs" not in m._ctx_cache:
+        m._ctx_cache["oracle_succs"] = {
+            i: {w: sorted(m.worlds.index(t) for s, t in m.rel[i] if s == w)
+                for w in m.worlds} for i in range(1, m.agents + 1)}
     state = {} if memo is None else memo
     state.setdefault("memo", {})
-    state.setdefault("vocab", {})
-    state["count"] = 0
-    state["cap"] = cap
+    state.update(count=0, cap=cap)
     return state
 
 
-def _vocab_cached(f, cache):
-    got = cache.get(id(f))
-    if got is not None:
-        return got[1]
-    if isinstance(f, Prop):
-        v = frozenset((f.name,))
-    elif isinstance(f, (Top, Var)):
-        v = frozenset()
-    elif isinstance(f, And):
-        v = _vocab_cached(f.left, cache) | _vocab_cached(f.right, cache)
-    else:
-        v = _vocab_cached(f.body, cache)
-    cache[id(f)] = (f, v)
-    return v
-
-
 def _direct(m, widx, f, domain, depth, state):
-    key = (id(f), widx)
-    hit = state["memo"].get(key)
-    if hit is not None:
-        return hit[1]
+    value = state["memo"].get((f, widx))
+    if value is not None:
+        return value
     world = m.worlds[widx]
     lang = m.lang[world]
-    if _vocab_cached(f, state["vocab"]) - lang:
+    if not f.vocab <= lang:
         value = Truth.UNDEFINED
     elif isinstance(f, Top):
         value = Truth.TRUE
@@ -557,8 +509,7 @@ def _direct(m, widx, f, domain, depth, state):
                 break
     elif isinstance(f, A):
         value = Truth.TRUE \
-            if _vocab_cached(f.body, state["vocab"]) <= m.aware[f.agent][world] \
-            else Truth.FALSE
+            if f.body.vocab <= m.aware[f.agent][world] else Truth.FALSE
     elif isinstance(f, X):
         value = _direct(m, widx, A(f.agent, f.body), domain, depth, state)
         if value is Truth.TRUE:
@@ -576,7 +527,7 @@ def _direct(m, widx, f, domain, depth, state):
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")
-    state["memo"][key] = (f, value)
+    state["memo"][f, widx] = value
     return value
 
 
@@ -612,10 +563,9 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
     realizable profile over the world's language, and any verdict is exact
     once the depth covers the whole fixpoint.
     """
-    fv = free_vars(body)
-    if fv != frozenset((var,)):
+    if body.fvars != {var}:
         raise ValueError(f"body must have exactly {var!r} free, has "
-                         f"{sorted(fv)}")
+                         f"{sorted(body.fvars)}")
     _program(m, Forall(var, body))
     ctx = _context(m, domain, full=True)
     if world not in m.worlds:
@@ -636,7 +586,7 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
         return local_cover
 
     state = _oracle_state(m, memo, cap)
-    if vocabulary(body) - lang:
+    if not body.vocab <= lang:
         return ForallProbe(Truth.UNDEFINED, stab(Truth.UNDEFINED), depth, 0,
                            None)
     n = 0

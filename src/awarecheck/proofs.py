@@ -22,7 +22,7 @@ from .syntax import (TOP, A, And, AStar, Forall, Formula, Iff, Implies, K,
                      Not, Prop, Top, Var, X, bound_vars, free_vars,
                      is_quantifier_free, is_sentence, map_props, parse,
                      pretty, subformulas, subst_var, vocabulary)
-from .syntax import _children, _rebuild, _subst_var
+from .syntax import _EMPTY, _children, _rebuild, _set, _subst_var
 
 __all__ = [
     "MetaF", "SCHEMA_NAMES", "RULE_NAMES", "match_axiom", "instantiate",
@@ -33,11 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MetaF(Formula):
     """Formula metavariable inside a schema pattern."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def _init(self, name):
+        _set(self, "name", name)
+        return _EMPTY, _EMPTY
 
 
 _I = "i"
@@ -47,9 +50,8 @@ _XV = "?x"
 def _label(f):
     """The field of f that is not a subformula: its agent, name or bound
     variable; None for Top, Not and And."""
-    if isinstance(f, (K, A, X)):
-        return f.agent
-    return f.var if isinstance(f, Forall) else getattr(f, "name", None)
+    fields = f.__reduce__()[1]
+    return fields[0] if fields and not isinstance(fields[0], Formula) else None
 
 
 def _meta(pat):
@@ -68,7 +70,7 @@ def _match(pat, f, b):
     """Extends the bindings b so that pat becomes f; False when no binding
     does."""
     if isinstance(pat, MetaF):
-        return b.setdefault(pat.name, f) == f
+        return b.setdefault(pat.name, f) is f
     if type(pat) is not type(f):
         return False
     meta = _meta(pat)
@@ -144,7 +146,7 @@ def _agpp(op):
         for part in reversed(parts):
             acc = And(part, acc)
         return acc
-    return (lambda b, include_top: b["rhs"] == rhs(b),
+    return (lambda b, include_top: b["rhs"] is rhs(b),
             lambda b: Iff(op(b[_I], b["phi"]), rhs(b)))
 
 
@@ -167,7 +169,7 @@ def _build_1forall(b):
 
 
 def _side_nforall(b, include_top):
-    return b[_XV] not in free_vars(b["phi"])
+    return b[_XV] not in b["phi"].fvars
 
 
 def _schemas():
@@ -306,7 +308,7 @@ def _check_rule(name, premises, conclusion, agent=None, q=None, x=None):
     if name == "MP":
         if len(premises) != 2:
             return "MP takes two premises"
-        if premises[1] != Implies(premises[0], conclusion):
+        if premises[1] is not Implies(premises[0], conclusion):
             return "second premise is not (first premise -> conclusion)"
         return None
     if name in ("Gen_K", "Gen_X", "Gen_star"):
@@ -314,7 +316,7 @@ def _check_rule(name, premises, conclusion, agent=None, q=None, x=None):
             return f"{name} takes one premise"
         if agent is None:
             return f"{name} needs an agent"
-        if conclusion != _gen_conclusion(name, agent, premises[0]):
+        if conclusion is not _gen_conclusion(name, agent, premises[0]):
             return f"conclusion does not match {name} of the premise"
         return None
     if name == "Gen_forall":
@@ -327,7 +329,7 @@ def _check_rule(name, premises, conclusion, agent=None, q=None, x=None):
         body = conclusion.body
         if q in vocabulary(body):
             return f"{q} must be fully replaced in the conclusion body"
-        if subst_var(body, x, Prop(q)) != premises[0]:
+        if subst_var(body, x, Prop(q)) is not premises[0]:
             return "premise is not conclusion-body[x/q]"
         return None
     return f"unknown rule {name!r}"

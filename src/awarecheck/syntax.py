@@ -7,7 +7,8 @@ single evaluator suffices downstream.
 """
 
 import re
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
 
 __all__ = [
     "Formula", "Top", "TOP", "Prop", "Var", "Not", "And", "K", "A", "X",
@@ -17,65 +18,134 @@ __all__ = [
     "subst_prop", "swap_props", "map_props",
 ]
 
+# (class, *fields) -> weak reference to the node of that formula.  An entry
+# leaves with its node; its key holds the node's children, as the node does.
+_TABLE = {}
+_set = object.__setattr__
+_EMPTY = frozenset()
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref):
+    _remove_dead_weakref(_TABLE, ref.key)  # only a dead entry, atomically
+
 
 class Formula:
-    """Base class for AST nodes.  Instances are immutable and hashable, and
+    """Base class for AST nodes.  Constructors return one shared node per
+    formula, so `is` and `==` agree and hashing is by identity; building
+    formulas is thread-safe.  Nodes are immutable and carry their
+    vocabulary (vocab) and free variables (fvars) as frozensets of names;
     str() gives their concrete syntax."""
 
-    __slots__ = ()
+    __slots__ = ("vocab", "fvars", "__weakref__")
+
+    def __new__(cls, *fields):
+        key = cls, *fields
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is not None:
+            return node
+        node = object.__new__(cls)
+        vocab, fvars = node._init(*fields)
+        _set(node, "vocab", vocab)
+        _set(node, "fvars", fvars)
+        ref = _Ref(node, _drop)
+        ref.key = key
+        # one atomic insertion decides between threads building the same
+        # formula; a dead entry whose callback has not run yet is replaced
+        while (got := _TABLE.setdefault(key, ref)) is not ref:
+            if (other := got()) is not None:
+                return other
+            _remove_dead_weakref(_TABLE, key)
+        return node
+
+    def _init(self):
+        """Sets the node's fields; returns its (vocab, fvars)."""
+        return _EMPTY, _EMPTY
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the table
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(map(repr, self.__reduce__()[1])))
 
     def __str__(self):
         return pretty(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     """The vacuously true constant (the empty conjunction)."""
 
+    __slots__ = _fields = ()
 
-@dataclass(frozen=True)
+
 class Prop(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def _init(self, name):
+        _set(self, "name", name)
+        return frozenset((name,)), _EMPTY
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def _init(self, name):
+        _set(self, "name", name)
+        return _EMPTY, frozenset((name,))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
+
+    def _init(self, body):
+        _set(self, "body", body)
+        return body.vocab, body.fvars
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+
+    def _init(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        return _union(left.vocab, right.vocab), _union(left.fvars, right.fvars)
 
 
-@dataclass(frozen=True)
-class K(Formula):
-    agent: int
-    body: Formula
+def _union(s, t):
+    """s | t, as s or t itself where it holds the other."""
+    return s if t <= s else t if s <= t else s | t
 
 
-@dataclass(frozen=True)
-class A(Formula):
-    agent: int
-    body: Formula
+class _Modal(Formula):
+    __slots__ = _fields = ("agent", "body")
+
+    def _init(self, agent, body):
+        _set(self, "agent", agent)
+        _set(self, "body", body)
+        return body.vocab, body.fvars
 
 
-@dataclass(frozen=True)
-class X(Formula):
-    agent: int
-    body: Formula
+# the modal operators: one node class each, over the same fields
+K, A, X = (type(op, (_Modal,), {"__slots__": ()}) for op in "KAX")
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
+
+    def _init(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        return body.vocab, body.fvars - {var}
 
 
 TOP = Top()
@@ -111,28 +181,20 @@ def APrime(agent, body):
 
 def _children(f):
     """The immediate subformulas of f, left to right."""
-    if isinstance(f, (Top, Prop, Var)):
-        return ()
     if isinstance(f, And):
         return f.left, f.right
-    if isinstance(f, (Not, K, A, X, Forall)):
-        return f.body,
-    raise TypeError(f"not a formula: {f!r}")
+    return (f.body,) if hasattr(f, "body") else ()
 
 
 def _rebuild(f, sub, *args):
-    """f with each immediate subformula g replaced by sub(g, *args)."""
-    if isinstance(f, (Top, Prop, Var)):
-        return f
-    if isinstance(f, Not):
-        return Not(sub(f.body, *args))
+    """f with each immediate subformula g replaced by sub(g, *args); a body
+    is its node's last field."""
     if isinstance(f, And):
         return And(sub(f.left, *args), sub(f.right, *args))
-    if isinstance(f, (K, A, X)):
-        return type(f)(f.agent, sub(f.body, *args))
-    if isinstance(f, Forall):
-        return Forall(f.var, sub(f.body, *args))
-    raise TypeError(f"not a formula: {f!r}")
+    if not hasattr(f, "body"):
+        return f
+    cls, fields = f.__reduce__()
+    return cls(*fields[:-1], sub(f.body, *args))
 
 
 def subformulas(f):
@@ -147,14 +209,11 @@ def subformulas(f):
 def vocabulary(f):
     """The set of primitive propositions occurring in f.  Variables and Top
     contribute nothing."""
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
+    return f.vocab
 
 
 def free_vars(f):
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    out = frozenset().union(*map(free_vars, _children(f)))
-    return out - {f.var} if isinstance(f, Forall) else out
+    return f.fvars
 
 
 def bound_vars(f):
@@ -162,11 +221,22 @@ def bound_vars(f):
 
 
 def is_sentence(f):
-    return not free_vars(f)
+    return not f.fvars
 
 
 def is_quantifier_free(f):
     return not any(isinstance(g, Forall) for g in subformulas(f))
+
+
+def _replacement(psi):
+    """psi, which must be a quantifier-free sentence."""
+    if not isinstance(psi, Formula):
+        raise TypeError("replacement must be a formula")
+    if not is_quantifier_free(psi):
+        raise ValueError("replacement must be quantifier-free")
+    if psi.fvars:
+        raise ValueError("replacement must be a sentence")
+    return psi
 
 
 def subst_var(f, x, psi):
@@ -175,21 +245,13 @@ def subst_var(f, x, psi):
     psi must be a quantifier-free sentence (the quantifier domain), which
     rules out capture.
     """
-    if not isinstance(psi, Formula):
-        raise TypeError("replacement must be a formula")
-    if not is_quantifier_free(psi):
-        raise ValueError("replacement must be quantifier-free")
-    if not is_sentence(psi):
-        raise ValueError("replacement must be a sentence")
-    return _subst_var(f, x, psi)
+    return _subst_var(f, x, _replacement(psi))
 
 
 def _subst_var(f, x, psi):
-    if isinstance(f, Var):
-        return psi if f.name == x else f
-    if isinstance(f, Forall) and f.var == x:
+    if x not in f.fvars:
         return f
-    return _rebuild(f, _subst_var, x, psi)
+    return psi if isinstance(f, Var) else _rebuild(f, _subst_var, x, psi)
 
 
 def map_props(f, mapping):
@@ -198,8 +260,10 @@ def map_props(f, mapping):
     Values may be propositions (renaming) or arbitrary formulas; propositions
     are never bound, so this is plain textual replacement.
     """
+    if f.vocab.isdisjoint(mapping):
+        return f
     if isinstance(f, Prop):
-        g = mapping.get(f.name, f.name)
+        g = mapping[f.name]
         return g if isinstance(g, Formula) else Prop(g)
     return _rebuild(f, map_props, mapping)
 
@@ -209,11 +273,7 @@ def subst_prop(f, q, psi):
 
     psi must be a quantifier-free sentence.
     """
-    if not is_quantifier_free(psi):
-        raise ValueError("replacement must be quantifier-free")
-    if not is_sentence(psi):
-        raise ValueError("replacement must be a sentence")
-    return map_props(f, {q: psi})
+    return map_props(f, {q: _replacement(psi)})
 
 
 def swap_props(f, p, p2):
@@ -380,35 +440,23 @@ def parse(text, n_agents=None):
     return f
 
 
-def _needs_parens_under_unary(f):
-    return isinstance(f, (And, Forall))
-
-
 def pretty(f):
-    """Prints f using base connectives only; parse(pretty(f)) == f."""
+    """Prints f using base connectives only; parse(pretty(f)) is f."""
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Prop):
         return f.name
     if isinstance(f, Var):
         return "#" + f.name
-    if isinstance(f, Not):
+    if isinstance(f, (Not, K, A, X)):
+        op = "!" if isinstance(f, Not) else f"{type(f).__name__}{f.agent} "
         body = pretty(f.body)
-        return "!(%s)" % body if _needs_parens_under_unary(f.body) else "!" + body
-    if isinstance(f, (K, A, X)):
-        op = type(f).__name__
-        body = pretty(f.body)
-        if _needs_parens_under_unary(f.body):
-            return f"{op}{f.agent} ({body})"
-        return f"{op}{f.agent} {body}"
+        return op + ("(%s)" % body if isinstance(f.body, (And, Forall))
+                     else body)
     if isinstance(f, And):
-        left = pretty(f.left)
-        if isinstance(f.left, Forall):
-            left = "(%s)" % left
-        right = pretty(f.right)
-        if isinstance(f.right, (And, Forall)):
-            right = "(%s)" % right
-        return f"{left} & {right}"
+        left = "(%s)" if isinstance(f.left, Forall) else "%s"
+        right = "(%s)" if isinstance(f.right, (And, Forall)) else "%s"
+        return f"{left} & {right}" % (pretty(f.left), pretty(f.right))
     if isinstance(f, Forall):
         return f"forall #{f.var} . {pretty(f.body)}"
     raise TypeError(f"not a formula: {f!r}")

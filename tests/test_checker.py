@@ -357,10 +357,35 @@ def test_evaluated_sentences_are_not_retained():
     f = parse(PSI_UNCERTAIN, 1)
     evaluate(m, "s", f)
     weak_counterexample(m, f)
+    direct_evaluate(m, "s", f)
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
+
+
+def test_equal_sentences_share_their_program_and_oracle_memo(monkeypatch):
+    # one sentence parsed and one built through the API are the same node,
+    # so the second compiles nothing and the oracle answers it from its memo
+    from awarecheck import checker
+    m = barcan_model()
+    parsed = parse("!X1 !(forall #x . A1 #x) & K1 p", 1)
+    built = And(Not(X(1, Not(Forall("x", A(1, Var("x")))))), K(1, Prop("p")))
+    compiles, calls = [], []
+    real_compile, real_direct = checker._compile_program, checker._direct
+    monkeypatch.setattr(checker, "_compile_program", lambda *args:
+                        compiles.append(args) or real_compile(*args))
+    monkeypatch.setattr(checker, "_direct", lambda *args:
+                        calls.append(args) or real_direct(*args))
+    assert evaluate(m, "s", parsed) is evaluate(m, "s", built)
+    assert len(compiles) == 1
+    memo = {}
+    first = direct_evaluate(m, "s", parsed, memo=memo)
+    assert len(calls) > 1
+    calls.clear()
+    assert direct_evaluate(m, "s", built, memo=memo) is first
+    assert len(calls) == 1 and calls[0][2] is built
+    assert (built, m.worlds.index("s")) in memo["memo"]
 
 
 def test_memoization_consistency():

@@ -1,15 +1,19 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awarecheck import syntax
 from awarecheck.fuzz import random_formula, random_sentence
 from awarecheck.syntax import (TOP, A, And, APrime, AStar, Exists, Forall,
                                Iff, Implies, K, Not, Or, ParseError, Prop,
                                Var, X, free_vars, is_quantifier_free,
                                is_sentence, map_props, parse, pretty,
-                               subst_prop, subst_var, swap_props, vocabulary)
+                               subformulas, subst_prop, subst_var,
+                               swap_props, vocabulary)
 
 p, q = Prop("p"), Prop("q")
 
@@ -155,7 +159,9 @@ def test_roundtrip_bulk():
     for k in range(10_000):
         f = random_sentence(rng, ("p", "q", "r"), 3, max_depth=5,
                             quantifier_prob=0.25, allow_top=(k % 5 == 0))
-        assert parse(pretty(f), 3) == f
+        text = pretty(f)
+        assert text == str(f) == _reference_pretty(f)
+        assert parse(text, 3) is f
 
 
 def test_vocab_subst_monotone():
@@ -207,3 +213,137 @@ def test_map_props_formula_values():
     f = parse("A1 q & K1 q", 1)
     assert map_props(f, {"q": Var("x")}) == \
         And(A(1, Var("x")), K(1, Var("x")))
+
+
+# --- interning --------------------------------------------------------------
+
+def _reference_pretty(f):
+    # test-local printer, node by node as the grammar reads
+    cls = type(f).__name__
+    if cls == "Top":
+        return "true"
+    if cls in ("Prop", "Var"):
+        return ("#" if cls == "Var" else "") + f.name
+    if cls == "Forall":
+        return f"forall #{f.var} . {_reference_pretty(f.body)}"
+    if cls == "And":
+        left, right = _reference_pretty(f.left), _reference_pretty(f.right)
+        if type(f.left).__name__ == "Forall":
+            left = f"({left})"
+        if type(f.right).__name__ in ("And", "Forall"):
+            right = f"({right})"
+        return f"{left} & {right}"
+    body = _reference_pretty(f.body)
+    if type(f.body).__name__ in ("And", "Forall"):
+        body = f"({body})"
+    return "!" + body if cls == "Not" else f"{cls}{f.agent} {body}"
+
+
+def test_equal_formulas_are_one_node():
+    f = And(K(1, Prop("p")), Forall("x", A(2, Var("x"))))
+    g = parse("K1 p & (forall #x . A2 #x)", 2)
+    assert f is g and f == g and hash(f) == hash(g)
+    assert f != And(K(1, Prop("p")), Forall("y", A(2, Var("y"))))
+    assert syntax.Top() is TOP
+    assert repr(f) == "And(K(1, Prop('p')), Forall('x', A(2, Var('x'))))"
+    assert f.vocab == {"p"} and f.fvars == frozenset()
+    assert A(2, Var("x")).fvars == {"x"}
+    with pytest.raises(AttributeError):
+        f.left = TOP
+    with pytest.raises(AttributeError):
+        del f.left
+    assert f.left is K(1, Prop("p"))
+
+
+def test_substitution_returns_existing_nodes():
+    f = parse("K1 p & forall #x . A1 #x", 1)
+    assert subst_var(f, "x", q) is f
+    assert map_props(f, {"q": "r"}) is f
+    g = parse("K1 #x & A1 p", 1)
+    assert subst_var(g, "x", q).right is g.right
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    import copy
+    import pickle
+
+    from awarecheck.proofs import MetaF
+    for f in (parse("forall #x . K1 (#x & !p)", 1), TOP, MetaF("phi"),
+              Implies(MetaF("phi"), X(1, Var("y")))):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert copy.deepcopy([f, f])[1] is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_threads_building_the_same_sentences_get_one_node_each():
+    import sys
+    import threading
+
+    def race(props):
+        barrier = threading.Barrier(8)
+        built = [None] * 8
+
+        def build(k):
+            rng = random.Random(23)
+            barrier.wait(timeout=60)
+            built[k] = [random_sentence(rng, props, 2, max_depth=5,
+                                        quantifier_prob=0.25)
+                        for _ in range(1000)]
+
+        threads = [threading.Thread(target=build, args=(k,))
+                   for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert all(sentences is not None for sentences in built)
+        return built
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # fresh propositions each round, so that the threads race to insert
+        rounds = [race((f"t{k}", "q")) for k in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for built in rounds:
+        for sentences in built[1:]:
+            assert all(f is g for f, g in zip(built[0], sentences))
+        # and every subformula is the node its text parses to
+        for f in built[0]:
+            for g in subformulas(f):
+                assert parse(pretty(g), 2) is g
+
+
+def test_dead_table_entry_is_replaced():
+    class Gone:
+        pass
+
+    key = (Prop, "dead_entry")
+    syntax._TABLE[key] = weakref.ref(Gone())  # dead at once
+    node = Prop("dead_entry")
+    assert node.name == "dead_entry" and node.vocab == {"dead_entry"}
+    assert syntax._TABLE[key]() is node and Prop("dead_entry") is node
+    del node
+    gc.collect()
+    assert key not in syntax._TABLE
+
+
+def test_deep_formula_through_the_api():
+    # 10^4 nested `K1 !`, built without recursion: hashing, vocabulary, free
+    # variables and sentencehood read node fields, and the chain leaves the
+    # table when dropped
+    gc.collect()
+    before = len(syntax._TABLE)
+    f = Prop("deep")
+    for _ in range(10_000):
+        f = K(1, Not(f))
+    assert hash(f) == hash(K(1, Not(f.body.body)))
+    assert free_vars(f) == frozenset() and vocabulary(f) == {"deep"}
+    assert is_sentence(f)
+    assert len(syntax._TABLE) == before + 20_001
+    del f
+    gc.collect()
+    assert len(syntax._TABLE) == before
