@@ -6,7 +6,11 @@ same two closures, on the native backend only when it is built, of 48
 seeded random structures with 2-3 agents, 6-8 worlds and 3-4 propositions;
 then the c4 sweep's instance corpus (about 60 sentences) on one rte
 structure, as one program per sentence run one by one against one program
-with a root per sentence run once.
+with a root per sentence run once; last, on each backend, a cold witness
+search as `awarecheck eval` makes it: on each of the 48 structures, three
+sentences `forall #x . body` as perfbench's `query` draws them, each at a
+random world, with forall_witness timed right after evaluate() on a fresh
+context.
 
 A native closure keeps its output in C, so its times cover ak_close and not
 the copy into Python lists, which only the readers of the records make;
@@ -20,12 +24,13 @@ import argparse
 import random
 import time
 
-from awarecheck import kernel
+from awarecheck import checker, kernel
 from awarecheck._kernel_py import Kernel
 from awarecheck.checker import KXA, _compile_program, _program
-from awarecheck.fuzz import random_sentence
+from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import generate_random
 from awarecheck.proofs import parse_system, schema_instances
+from awarecheck.syntax import Forall
 
 CLASSES = [("python", Kernel)] + \
     [("c", kernel.NativeKernel)] * (kernel.BACKEND == "c")
@@ -100,10 +105,11 @@ def main(argv=None):
             results[f"large.{name}.{mode}.profiles"] = (len(records), "count")
 
     rng = random.Random(2009)
-    medium = [generate_random(
+    medium_models = [generate_random(
         rng.randint(2, 3), rng.randint(6, 8),
         ("p", "q", "r", "s")[:rng.randint(3, 4)],
-        seed=rng.randrange(2 ** 31)).encoding() for _ in range(48)]
+        seed=rng.randrange(2 ** 31)) for _ in range(48)]
+    medium = [m.encoding() for m in medium_models]
     name, cls = CLASSES[-1]
     for mode, classes in (("full", 0), ("classes", 1)):
         t0 = time.perf_counter()
@@ -146,6 +152,30 @@ def main(argv=None):
               f"({rates[1] / rates[0]:.1f}x)")
         results[f"corpus.{name}.one_by_one"] = (1e6 / rates[0], "us")
         results[f"corpus.{name}.batched"] = (1e6 / rates[1], "us")
+
+    rng = random.Random(2010)
+    searches = [(m, rng.choice(m.worlds),
+                 Forall("x", random_open_formula(rng, m.props, m.agents, "x",
+                                                 max_depth=3)))
+                for m in medium_models for _ in range(3)]
+    for name, cls in CLASSES:
+        native = checker.NativeKernel
+        checker.NativeKernel = cls  # the class every new context takes
+        took, n, stop = 0.0, 0, time.perf_counter() + args.seconds
+        try:
+            while time.perf_counter() < stop:
+                for m, w, f in searches:
+                    m._ctx_cache.clear()
+                    checker.evaluate(m, w, f)
+                    t0 = time.perf_counter()
+                    checker.forall_witness(m, w, f)
+                    took += time.perf_counter() - t0
+                n += len(searches)
+        finally:
+            checker.NativeKernel = native
+        print(f"witness  {name + ':':7} {1e6 * took / n:8.1f} us per cold "
+              f"search ({n // len(searches)} x {len(searches)} searches)")
+        results[f"witness.{name}"] = (1e6 * took / n, "us")
     return results
 
 

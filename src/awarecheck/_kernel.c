@@ -7,9 +7,12 @@
    64 propositions (the caller checks); every other size comes from the
    inputs.  A program (see _kernel_py) may have many roots, one per
    sentence, sharing their common nodes; ak_run evaluates all of them in
-   one call.  ak_close keys its records either by vocabulary, which gives
-   every (vocabulary, truth) pair, or by vocabulary class (see cl), which
-   gives one record per class and truth and the same verdicts from ak_run.
+   one call and, into a buffer the caller may pass, records for each
+   quantifier node that uses no slot the first profile that falsifies it at
+   each world, which the witness search reads.  ak_close keys its records
+   either by vocabulary, which gives every (vocabulary, truth) pair, or by
+   vocabulary class (see cl), which gives one record per class and truth
+   and the same verdicts from ak_run.
    The checker closes a structure only when a program with quantifier slots
    is to run (over classes) or a caller reads the profiles themselves (in
    full); ak_run must not see a program with slots before ak_close ran.
@@ -221,8 +224,9 @@ void ak_free(Records *r) {
 
 /* A program being run: its columns, per node a bitset of `words` words
    holding the propositions it mentions (word 0) and the slots it uses (from
-   word 1), the slot bindings, and the values of the nodes that use no slot
-   (state 2 once known, 1 before, else 0). */
+   word 1), the slot bindings, the values of the nodes that use no slot
+   (state 2 once known, 1 before, else 0), and the caller's falsifier
+   buffer or NULL. */
 typedef struct {
     const Model *m;
     const int *op, *a1, *a2, *aux;
@@ -230,6 +234,7 @@ typedef struct {
     uint64_t *uses;
     VF *val, *env;
     char *state;
+    int64_t *falsifiers;
 } Run;
 
 static VF eval(Run *r, int i) {
@@ -251,7 +256,12 @@ static VF eval(Run *r, int i) {
         out.f = dom(m, out.v);
         for (int64_t k = 0; k < m->n_profiles && out.f; k++) {
             r->env[aux] = (VF){m->prof_v[k], m->prof_f[k]};
-            out.f &= ~(dom(m, m->prof_v[k]) & ~eval(r, r->a1[i]).f);
+            uint64_t bad = dom(m, m->prof_v[k]) & ~eval(r, r->a1[i]).f;
+            bad &= out.f;  /* the worlds profile k is the first to falsify */
+            out.f &= ~bad;
+            if (r->state[i] && r->falsifiers)
+                for (int64_t w = 0; bad; w++, bad >>= 1)
+                    if (bad & 1) r->falsifiers[i * m->n_worlds + w] = k;
         }
     } else {  /* P_NOT, P_AND, P_K, P_A, P_X */
         x = eval(r, r->a1[i]);
@@ -270,17 +280,20 @@ static VF eval(Run *r, int i) {
    worlds where it is False to out, three words per root; -1 when out of
    memory.  The propositions and the slots of each node are derived here,
    once per call, the slots at any width, and the nodes that use no slot are
-   evaluated once for all roots. */
+   evaluated once for all roots.  Unless falsifiers is NULL, it holds
+   n * n_worlds words, and for each quantifier node i that uses no slot and
+   each world w where it is False, ak_run writes to falsifiers[i * n_worlds
+   + w] the index of the first profile that falsifies its body at w. */
 int ak_run(const Model *m, const int *op, const int *a1, const int *a2,
            const int *aux, int64_t n, int64_t nslots, const int *roots,
-           int64_t nroots, uint64_t *out) {
+           int64_t nroots, uint64_t *out, int64_t *falsifiers) {
     int64_t words = 1 + (nslots + 63) / 64;
     int64_t cells = n * (words + 2) + 2 * nslots;
     uint64_t *mem = calloc(cells * sizeof *mem + n + 1, 1);
     if (!mem) return -1;
     Run r = {m, op, a1, a2, aux, nslots, words, mem,
              (VF *)(mem + n * words), (VF *)(mem + n * (words + 2)),
-             (char *)(mem + cells)};
+             (char *)(mem + cells), falsifiers};
     for (int64_t i = 0; i < n; i++) {
         uint64_t *u = r.uses + i * words, any = 0;
         if (op[i] == P_PROP)

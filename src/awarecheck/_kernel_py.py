@@ -12,7 +12,11 @@ arg2, aux), per node the mask of the propositions it mentions and the tuple
 of the quantifier slots it uses, and the slot count.  Arguments are earlier
 nodes; aux is a proposition index, a quantifier slot or a 0-based agent.  A
 program has any number of roots, one per sentence, which share the nodes
-they have in common; a run evaluates a list of roots in one go.
+they have in common; a run evaluates a list of roots in one go.  A run may
+also report, for each quantifier node that uses no slot and each world
+where it is False, the first profile that falsifies it there: the witness
+search reads its answer from these, so each backend needs no interpreter
+but its own.  A kernel's interface is close() and run().
 
 A profile is a pair (vocab mask over propositions, truth mask over worlds);
 the truth mask is meaningful only on the worlds whose language contains the
@@ -45,15 +49,15 @@ P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
 
 class Kernel:
     """A model's encoding, its domain function and operator step, the
-    profile closure, run once, whose profiles become the quantifier's
-    domain, and the interpreter over them, split into load() and node() for
-    the checker's witness search; the same results, bit for bit, as the
+    profile closure, whose profiles become the quantifier's domain, and the
+    interpreter over them, run(); the same results, bit for bit, as the
     native kernels.
 
     env[s] is the index of the profile bound to slot s.  Node values are
     memoized per loaded program under the profiles bound to the slots they
     use, so a node that does not use a quantifier's slot is evaluated once,
-    not once per profile."""
+    not once per profile; the falsifiers of such a quantifier are kept with
+    its value, so a repeated run of the same program evaluates nothing."""
 
     def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
         self.n_worlds = n_worlds
@@ -186,19 +190,29 @@ class Kernel:
                     f"profile closure exceeded {max_profiles} profiles")
             frontier = known
 
-    def run(self, program, roots):
+    def run(self, program, roots, falsifiers=None):
         """Per root of a program, flat, its (vocab mask, truth mask) over all
-        worlds and the mask of the worlds where it is False."""
-        self.load(program)
+        worlds and the mask of the worlds where it is False.  falsifiers,
+        unless None, is an array('q') of len(op) * n_worlds: for each
+        quantifier node i that uses no slot and is reached from a root, and
+        each world w where it is False, falsifiers[i * n_worlds + w] becomes
+        the index of the first profile, in closure order, that falsifies its
+        body at w.  This kernel also writes those of the program's earlier
+        runs, which it keeps with their node values."""
+        self._load(program)
         out = []
         for root in roots:
-            v, t = self.node(root)
+            v, t = self._node(root)
             out += v, t, self.dom(v) & ~t
+        if falsifiers is not None:
+            for (i, w), k in self.falsified.items():
+                falsifiers[i * self.n_worlds + w] = k
         return out
 
-    def load(self, program):
-        """Makes program the one node() evaluates.  It and its node values
-        stay loaded until another program is loaded."""
+    def _load(self, program):
+        """Makes program the one _node() evaluates.  It, its node values and
+        their falsifiers stay loaded until another program is loaded or the
+        kernel closes again."""
         if program is not self.program:
             if program[6] and self.profiles is None:
                 raise RuntimeError("quantified program on an unclosed kernel")
@@ -207,8 +221,9 @@ class Kernel:
              nslots) = program
             self.env = [0] * nslots
             self.memo = {}
+            self.falsified = {}  # (quantifier node, world) -> profile
 
-    def node(self, i):
+    def _node(self, i):
         """(vocab mask, truth mask) of node i of the loaded program under the
         slot bindings in env."""
         used = self.used[i]
@@ -225,8 +240,8 @@ class Kernel:
         elif code == P_VAR:
             out = self.profiles[self.env[self.aux[i]]]
         elif code == P_AND:
-            v, t = self.node(self.a1[i])
-            v2, t2 = self.node(self.a2[i])
+            v, t = self._node(self.a1[i])
+            v2, t2 = self._node(self.a2[i])
             out = (v | v2, t & t2)
         elif code == P_FORALL:
             slot, body = self.aux[i], self.a1[i]
@@ -238,9 +253,13 @@ class Kernel:
                 if not result:
                     break
                 self.env[slot] = k
-                result &= ~(self.dom(pv) & ~self.node(body)[1])
+                bad = result & self.dom(pv) & ~self._node(body)[1]
+                result &= ~bad
+                while bad and not used:  # the worlds k is first to falsify
+                    self.falsified[i, (bad & -bad).bit_length() - 1] = k
+                    bad &= bad - 1
             out = (veff, result)
         else:  # P_NOT, P_K, P_A, P_X
-            out = self.step(code, self.aux[i], self.node(self.a1[i]))
+            out = self.step(code, self.aux[i], self._node(self.a1[i]))
         self.memo[key] = out
         return out

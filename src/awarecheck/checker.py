@@ -367,8 +367,7 @@ def forall_witness(m, world, f, domain=KXA):
         raise ValueError(f"unknown world {world!r}")
     if not code[6]:  # every binder has a slot: no quantifier, no witness
         return None
-    ctx.kernel.load(code)
-    return _quantifier_witness(ctx, m.worlds.index(world), roots[0])
+    return _quantifier_witness(ctx, code, roots[0], m.worlds.index(world))
 
 
 def _truth_at(ctx, w, vocab, truth):
@@ -377,38 +376,39 @@ def _truth_at(ctx, w, vocab, truth):
     return Truth.TRUE if (truth >> w) & 1 else Truth.FALSE
 
 
-def _quantifier_witness(ctx, w, i):
-    """Walks node i of the program loaded into ctx.kernel and the nodes
-    under it that lie outside every quantifier."""
-    ev = ctx.kernel
-    op, body = ev.op[i], ev.a1[i]
-    value = _truth_at(ctx, w, *ev.node(i))
-    if op == P_FORALL and value is Truth.FALSE:
-        for k, (vocab, _) in enumerate(ev.profiles):
-            if not (ctx.dom(vocab) >> w) & 1:
-                continue
-            ev.env[ev.aux[i]] = k
-            if not (ev.node(body)[1] >> w) & 1:
-                return ctx.witness_formula(k)
-        return None
-    if op == P_NOT and value in (Truth.TRUE, Truth.FALSE):
-        return _quantifier_witness(ctx, w, body)
-    if op == P_AND and value is Truth.FALSE:
-        for part in (body, ev.a2[i]):
-            if _truth_at(ctx, w, *ev.node(part)) is Truth.FALSE:
-                got = _quantifier_witness(ctx, w, part)
-                if got is not None:
-                    return got
-        return None
-    if op in (P_K, P_X) and value is Truth.FALSE:
-        succ = ev.succ[ev.aux[i]][w]
-        for u in range(ev.n_worlds):
-            if (succ >> u) & 1 and \
-                    _truth_at(ctx, u, *ev.node(body)) is Truth.FALSE:
-                got = _quantifier_witness(ctx, u, body)
-                if got is not None:
-                    return got
-        return None
+def _quantifier_witness(ctx, code, root, w):
+    """The witness search from node root of the program code at world w: one
+    run over the program's closed nodes, which also gives, per quantifier
+    among them and per world where it is False, its first falsifying
+    profile, then a depth-first walk from root down the nodes outside every
+    quantifier, into a negation's body and into the False parts of a False
+    conjunction or K/X, at each successor in turn."""
+    op, a1, a2, aux, _, used, _ = code
+    n = ctx.kernel.n_worlds
+    closed = array("i", [i for i, u in enumerate(used) if not u])
+    falsifiers = array("q", bytes(8 * n * len(op)))
+    out = ctx.kernel.run(code, closed, falsifiers)
+    values = dict(zip(closed, zip(out[::3], out[1::3])))
+    stack = [(root, w)]
+    while stack:
+        i, w = stack.pop()
+        value = _truth_at(ctx, w, *values[i])
+        if op[i] == P_NOT and value is not Truth.UNDEFINED:
+            stack.append((a1[i], w))
+            continue
+        if value is not Truth.FALSE:
+            continue
+        if op[i] == P_FORALL:
+            return ctx.witness_formula(falsifiers[i * n + w])
+        if op[i] == P_AND:
+            nexts = [(a1[i], w), (a2[i], w)]
+        elif op[i] in (P_K, P_X):
+            succ = ctx.kernel.succ[aux[i]][w]
+            nexts = [(a1[i], u) for u in range(n) if succ >> u & 1]
+        else:
+            continue
+        stack += [(j, u) for j, u in reversed(nexts)
+                  if _truth_at(ctx, u, *values[j]) is Truth.FALSE]
     return None
 
 
@@ -464,17 +464,21 @@ def direct_evaluate(m, world, f, domain=KXA, forall_depth=2, memo=None,
     every realizable profile (see brute_force_forall.stabilized).
     """
     _program(m, f)
-    state = _oracle_state(m, memo, cap)
+    state = _oracle_state(m, memo, cap, None if is_quantifier_free(f) else
+                          (domain.opcodes, forall_depth))
     return _direct(m, m.worlds.index(world), f, domain, forall_depth, state)
 
 
-def _oracle_state(m, memo, cap):
+def _oracle_state(m, memo, cap, scope):
     if "oracle_succs" not in m._ctx_cache:
         m._ctx_cache["oracle_succs"] = {
             i: {w: sorted(m.worlds.index(t) for s, t in m.rel[i] if s == w)
                 for w in m.worlds} for i in range(1, m.agents + 1)}
     state = {} if memo is None else memo
-    state.setdefault("memo", {})
+    # (formula, world) -> value, one memo per scope: a quantifier's value
+    # depends on the domain and the depth, so a caller passes them, or None
+    # for quantifier-free formulas, which share theirs
+    state["memo"] = state.setdefault("memos", {}).setdefault(scope, {})
     state.update(count=0, cap=cap)
     return state
 
@@ -585,7 +589,8 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
             return True
         return local_cover
 
-    state = _oracle_state(m, memo, cap)
+    state = _oracle_state(m, memo, cap, (domain.opcodes, depth) if nested
+                          else None)
     if not body.vocab <= lang:
         return ForallProbe(Truth.UNDEFINED, stab(Truth.UNDEFINED), depth, 0,
                            None)

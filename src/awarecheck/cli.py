@@ -404,8 +404,16 @@ def build_parser():
     return ap
 
 
+# options that count or bound something, none of which may be negative
+_COUNTS = ("count", "models", "instances", "depth", "limit", "max_worlds",
+           "enum_max_worlds", "formulas")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    bad = [name for name in _COUNTS if getattr(args, name, 0) < 0]
+    if bad:
+        return _fail(f"--{bad[0].replace('_', '-')} must not be negative")
     try:
         code = args.fn(args)
     except SystemExit as exc:

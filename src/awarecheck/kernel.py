@@ -3,7 +3,8 @@ _kernel.c, behind NativeKernel, the native twin of _kernel_py.Kernel: one
 object per structure that takes the model encoding (n_worlds,
 prop_world_masks, prop_true, succ, aware) once, closes its profiles, in full
 or over vocabulary classes, and runs programs over them, all the roots of a
-program in one call (see _kernel_py).  The checker closes only when a
+program in one call, with the first falsifying profile of each closed
+quantifier when asked (see _kernel_py).  The checker closes only when a
 program with quantifier slots is to run, over classes, or a caller reads
 the profiles themselves, in full; run() refuses such a program before any
 closure, since the domain would be empty.
@@ -53,12 +54,9 @@ class _Copied:
         return self.out.count
 
     @cached_property
-    def cols(self):
-        return [getattr(self.out, name)[:len(self)] for name in self.names]
-
-    @cached_property
     def rows(self):
-        return list(zip(*self.cols)) if len(self.cols) > 1 else self.cols[0]
+        cols = [getattr(self.out, name)[:len(self)] for name in self.names]
+        return list(zip(*cols)) if len(cols) > 1 else cols[0]
 
     def __getitem__(self, i):
         return self.rows[i]
@@ -105,7 +103,7 @@ def _load():
     lib.ak_free.argtypes, lib.ak_free.restype = [records], None
     lib.ak_close.restype = lib.ak_run.restype = ctypes.c_int
     lib.ak_run.argtypes = [model] + [_PTR] * 4 + [_INT] * 2 + [_PTR, _INT,
-                                                               _PTR]
+                                                               _PTR, _PTR]
     return lib, path
 
 
@@ -119,9 +117,9 @@ class NativeKernel(_kernel_py.Kernel):
     (see checker._compile_program).  The model is marshalled into one _Model
     at construction; close() points its profile columns at the closure's
     output, which run() then reads in place, for all of a program's roots in
-    one call.  The output stays in C: the records, the layers and, for the
-    pure walker, the profiles are copied out once, when first read, and it
-    is freed once, when the kernel closes again or is collected."""
+    one call.  The output stays in C: the records and the layers are copied
+    out once, when first read, and it is freed once, when the kernel closes
+    again or is collected.  A run keeps no state in the kernel."""
 
     def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
         super().__init__(n_worlds, prop_world_masks, prop_true, succ, aware)
@@ -142,23 +140,20 @@ class NativeKernel(_kernel_py.Kernel):
         model.n_profiles = out.count
         model.prof_v, model.prof_f = out.vocab, out.truth
         self._records = _Copied(out, "vocab", "truth", "op", "a1", "a2", "aux")
-        self.profiles = None  # copied from C by the first load()
-        self.program = None  # node values over the former profiles
         return self._records, _Copied(out, "layer")
 
-    def load(self, program):  # only the pure walker reads the profiles
-        if self.profiles is None and self._records is not None:
-            self.profiles = list(zip(*self._records.cols[:2]))
-        super().load(program)
-
-    def run(self, program, roots):
+    def run(self, program, roots, falsifiers=None):
         op, a1, a2, aux, _, _, nslots = program
         if nslots and self._records is None:
             raise RuntimeError("quantified program on an unclosed kernel")
+        if falsifiers is not None and (falsifiers.typecode != "q" or len(
+                falsifiers) < len(op) * self.n_worlds):
+            raise ValueError("falsifiers: array('q') of len(op) * n_worlds")
         out = array("Q", bytes(24 * len(roots)))
         if _lib.ak_run(self._model, _addr(op), _addr(a1), _addr(a2),
                        _addr(aux), len(op), nslots, _addr(roots), len(roots),
-                       _addr(out)):
+                       _addr(out),
+                       None if falsifiers is None else _addr(falsifiers)):
             raise MemoryError("formula program")
         return out.tolist()
 

@@ -74,8 +74,9 @@ class AwarenessStructure:
         self._check()
 
     def _check(self):
-        if self.agents < 1:
-            raise InvalidStructure("need at least one agent")
+        if self.agents < 1 or not self.worlds:
+            raise InvalidStructure("need at least one "
+                                   + ("agent" if self.agents < 1 else "world"))
         if len(set(self.worlds)) != len(self.worlds):
             raise InvalidStructure("duplicate world ids")
         if len(set(self.props)) != len(self.props):
@@ -186,8 +187,6 @@ def validate(m):
     Witnesses are the first offenders in (agent, world, ...) enumeration
     order.
     """
-    witnesses = {}
-
     def relation(i):
         succ = {w: set() for w in m.worlds}
         for (s, t) in m.rel[i]:
@@ -203,25 +202,16 @@ def validate(m):
                     return (i, w)
         return None
 
-    def first_t():
+    def first_te(euclidean):
+        # for s -> t: t -> u needs s -> u, or (euclidean) s -> u needs t -> u
         for i in range(1, m.agents + 1):
             for s in m.worlds:
                 for t in m.worlds:
                     if t not in succs[i][s]:
                         continue
+                    src, dst = (s, t) if euclidean else (t, s)
                     for u in m.worlds:
-                        if u in succs[i][t] and u not in succs[i][s]:
-                            return (i, s, t, u)
-        return None
-
-    def first_e():
-        for i in range(1, m.agents + 1):
-            for s in m.worlds:
-                for t in m.worlds:
-                    if t not in succs[i][s]:
-                        continue
-                    for u in m.worlds:
-                        if u in succs[i][s] and u not in succs[i][t]:
+                        if u in succs[i][src] and u not in succs[i][dst]:
                             return (i, s, t, u)
         return None
 
@@ -257,19 +247,12 @@ def validate(m):
                         return (i, s, p)
         return None
 
-    checks = {
-        "reflexive": first_r, "transitive": first_t, "euclidean": first_e,
-        "ka": first_ka, "containment": first_containment, "la": first_la,
-    }
-    flags = {}
-    for name, check in checks.items():
-        w = check()
-        flags[name] = w is None
-        if w is not None:
-            witnesses[name] = w
-    return PropertyReport(flags["reflexive"], flags["transitive"],
-                          flags["euclidean"], flags["ka"],
-                          flags["containment"], flags["la"], witnesses)
+    found = {"reflexive": first_r(), "transitive": first_te(False),
+             "euclidean": first_te(True), "ka": first_ka(),
+             "containment": first_containment(), "la": first_la()}
+    return PropertyReport(**{name: w is None for name, w in found.items()},
+                          witnesses={name: w for name, w in found.items()
+                                     if w is not None})
 
 
 # --- transformations -------------------------------------------------------
@@ -383,8 +366,9 @@ def generate_random(agents, n_worlds, props, model_class=frozenset(),
     """
     if not props:
         raise ValueError("need at least one proposition")
-    if agents < 1 or len(set(props)) < len(props):
-        raise InvalidStructure("need at least one agent" if agents < 1
+    if agents < 1 or n_worlds < 1 or len(set(props)) < len(props):
+        raise InvalidStructure("need at least one agent" if agents < 1 else
+                               "need at least one world" if n_worlds < 1
                                else "duplicate proposition ids")
     if rng is None:
         rng = random.Random(seed)

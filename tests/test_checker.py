@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from awarecheck.checker import (KXA, XA, Corpus, OracleBudgetExceeded,
+from awarecheck.checker import (K_ONLY, KXA, XA, Corpus, OracleBudgetExceeded,
                                 QuantifierDomain, Truth, _compile_program,
                                 _context, _quantifier_witness, _truth_at,
                                 brute_force_forall, direct_evaluate,
@@ -388,6 +388,23 @@ def test_equal_sentences_share_their_program_and_oracle_memo(monkeypatch):
     assert (built, m.worlds.index("s")) in memo["memo"]
 
 
+def test_oracle_memo_is_kept_per_domain_and_depth():
+    # a quantifier's brute-force value depends on the domain and the depth,
+    # so one memo shared across them must not answer for another
+    m = generate_random(1, 2, ("p", "q"), seed=27)
+    f = parse("forall #y . #y", 1)
+    memo = {}
+    assert direct_evaluate(m, "w1", f, forall_depth=0, memo=memo) is T
+    assert direct_evaluate(m, "w1", f, forall_depth=2, memo=memo) is F
+    assert evaluate(m, "w1", f) is F
+    m = generate_random(1, 2, ("p", "q"), seed=37)
+    f = parse("forall #y . (#y | !K1 #y)", 1)
+    memo = {}
+    assert direct_evaluate(m, "w1", f, XA, 1, memo=memo) is T
+    assert direct_evaluate(m, "w1", f, K_ONLY, 1, memo=memo) is F
+    assert [evaluate(m, "w1", f, domain) for domain in (XA, K_ONLY)] == [T, F]
+
+
 def test_memoization_consistency():
     # repeated evaluation through the cached context stays stable
     m = barcan_model()
@@ -509,8 +526,7 @@ def test_corpus_program_shares_nodes():
         for domain in domains:
             ctx = _context(m, domain, code)
             out = ctx.kernel.run(code, roots)
-            ctx.kernel.load(code)
-            witnesses = [[_quantifier_witness(ctx, w, root)
+            witnesses = [[_quantifier_witness(ctx, code, root, w)
                           for w in range(len(m.worlds))] for root in roots]
             assert corpus.false_masks(m, domain) == out[2::3]
             for k, f in enumerate(sentences):

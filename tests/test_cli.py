@@ -56,6 +56,7 @@ def test_malformed_model_is_an_error(tmp_path, capsys):
         lambda d: d.update(agents="x"),
         lambda d: d.update(agents=1.9),
         lambda d: d.update(agents=True),
+        lambda d: d.update(worlds=[]),
     ]
     for k, spoil in enumerate(bad):
         d = json.loads(json.dumps(good))
@@ -181,11 +182,17 @@ def test_gen_and_enum(tmp_path, capsys):
 
 
 def test_bad_bounds_are_errors(capsys):
-    # arguments the model builders refuse are exit 2, never 1 ("False");
-    # the last two pass the enumeration cap of 20M models
+    # arguments the model builders refuse, no worlds and negative counts
+    # are exit 2, never 1 ("False") or 0 with an empty verdict; the last two
+    # pass the enumeration cap of 20M models
     for argv in (["gen", "--props", ","], ["gen", "--class", "xyz"],
                  ["gen", "--agents", "0"], ["gen", "--props", "p,q,p"],
+                 ["gen", "--worlds", "0"], ["gen", "--count", "-1"],
                  ["sweep", "AXe_KAstar", "--class", "q"],
+                 ["sweep", "AXe_KAstar", "--worlds", "0"],
+                 ["sweep", "AXe_KAstar", "--models", "-3"],
+                 ["sweep", "AXe_KAstar", "--instances", "-1"],
+                 ["enum", "--limit", "-1"],
                  ["enum", "--max-worlds", "5"],
                  ["enum", "--max-worlds", "3", "--props", "p,q,r"],
                  ["enum", "--max-worlds", "4", "--props", "p,q,r"]):

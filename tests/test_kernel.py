@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,15 @@ from hypothesis import strategies as st
 
 from awarecheck import checker, kernel
 from awarecheck._kernel_py import Kernel
-from awarecheck.checker import (KXA, XA, QuantifierDomain, _compile_program,
-                                _context, _program, evaluate, forall_witness,
+from awarecheck.checker import (KXA, XA, QuantifierDomain, Truth,
+                                _compile_program, _context, _program,
+                                direct_evaluate, evaluate, forall_witness,
                                 realizable_profiles, stabilization_depth,
                                 weak_counterexample)
 from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import AwarenessStructure, generate_random
 from awarecheck.syntax import (TOP, A, And, Forall, K, Not, Prop, Var, X,
-                               free_vars, parse)
+                               free_vars, parse, subst_var)
 
 needs_c = pytest.mark.skipif(kernel.BACKEND != "c",
                              reason=kernel.BACKEND_REASON)
@@ -62,6 +64,13 @@ def _evaluators_agree(m, kernels, formulas):
     code, roots = _compile_program(
         formulas, {p: j for j, p in enumerate(m.props)}, m.agents)
     assert native.run(code, roots) == pure.run(code, roots) == alone
+    # and every node that uses no slot, with the first falsifying profile
+    # of each such quantifier at each world where it is False
+    closed = array("i", [i for i, used in enumerate(code[5]) if not used])
+    bufs = [array("q", [-1]) * (len(code[0]) * len(m.worlds)) for _ in "pn"]
+    assert native.run(code, closed, bufs[1]) == pure.run(code, closed,
+                                                          bufs[0])
+    assert bufs[0] == bufs[1]
     return alone
 
 
@@ -269,14 +278,73 @@ def test_closure_copied_when_read_and_freed_once(monkeypatch):
                     verdicts, profiles, stabilization_depth(m),
                     [[forall_witness(m, w, f) for w in m.worlds]
                      for f in fs],
-                    list(ctx.kernel.profiles), list(ctx.records),
-                    list(ctx.layers), ctx.classes))
+                    list(ctx.records), list(ctx.layers), ctx.classes))
                 del ctx
         assert answers[0] == answers[1]
     m._ctx_cache.clear()
     gc.collect()
     assert sorted(freed) == closed
     assert len(closed) == 24 * (kernel.BACKEND == "c")
+
+
+@needs_c
+def test_native_witness_search_stays_in_c(monkeypatch, capsys):
+    # a False quantified eval decides and explains the verdict with ak_run:
+    # the pure interpreter never runs, and the closure's profiles are never
+    # copied out of C
+    def refuse(*args):
+        raise AssertionError("the pure interpreter ran")
+
+    monkeypatch.setattr(Kernel, "_load", refuse)
+    monkeypatch.setattr(Kernel, "_node", refuse)
+    assert not hasattr(kernel.NativeKernel, "load")
+    from awarecheck.cli import main
+    assert main(["eval", BARCAN, "s", "X1 (forall #x . A1 #x)"]) == 1
+    assert capsys.readouterr().out == "False  (witness: q)\n"
+    rng = random.Random(4)
+    found = 0
+    for seed in range(12):
+        m = generate_random(2, 6, ["p", "q", "r"], seed=seed)
+        for _ in range(4):
+            f = Forall("x", random_open_formula(rng, m.props, m.agents, "x",
+                                                max_depth=3))
+            for w in m.worlds:
+                if evaluate(m, w, f) is Truth.FALSE:
+                    found += forall_witness(m, w, f) is not None
+        ctx = _context(m, KXA)
+        assert type(ctx.kernel) is kernel.NativeKernel
+        assert ctx.kernel.profiles is None
+    assert found > 20
+
+
+@pytest.mark.parametrize("native", [True, False])
+def test_witnesses_falsify_by_the_oracle(monkeypatch, native):
+    # on each backend, every witness of a False `forall #x . body` at w
+    # makes the brute-force oracle read the instance body[witness/x] False
+    # at w
+    if not native:
+        monkeypatch.setattr(checker, "NativeKernel", Kernel)
+    rng = random.Random(41)
+    checked = 0
+    for seed in range(30):
+        m = generate_random(1 + seed % 2, 3 + seed % 3, ["p", "q"], seed=seed)
+        for domain in (KXA, XA):
+            for _ in range(3):
+                body = random_open_formula(rng, m.props, m.agents, "x",
+                                           max_depth=3)
+                f = Forall("x", body)
+                for w in m.worlds:
+                    witness = forall_witness(m, w, f, domain)
+                    if evaluate(m, w, f, domain) is not Truth.FALSE:
+                        assert witness is None
+                        continue
+                    inst = subst_var(body, "x", witness)
+                    assert direct_evaluate(m, w, inst, domain) is \
+                        Truth.FALSE, (seed, w, f, witness)
+                    checked += 1
+    assert type(_context(m, KXA).kernel) is (
+        kernel.NativeKernel if native and kernel.BACKEND == "c" else Kernel)
+    assert checked > 300
 
 
 def test_witnesses_agree_over_class_and_full_closure():

@@ -77,6 +77,12 @@ def test_constructor_enforces_invariants():
             1, ["p", "q"], ["s", "t"], {"s": {"p"}, "t": {"q"}},
             {"s": set(), "t": set()}, {1: [("s", "t")]},
             {1: {"s": {"p"}, "t": {"p"}}})
+    for make in (lambda: AwarenessStructure(1, ["p"], [], {}, {}, {1: []},
+                                            {1: {}}),
+                 lambda: generate_random(1, 0, ["p"]),
+                 lambda: generate_random(1, -2, ["p"])):
+        with pytest.raises(InvalidStructure, match="at least one world"):
+            make()
 
 
 def _brute_count_single_world():
