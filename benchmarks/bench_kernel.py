@@ -1,4 +1,7 @@
-"""Benchmarks the native kernel class against its pure-Python twin: the
+"""Times building structures as perfbench's `sweep` draws them, per
+structure: rte structures with 1 agent, 3 worlds and propositions p, q, from
+generate_random at seeded draws and from enumerate_models' whole stream.
+Then benchmarks the native kernel class against its pure-Python twin: the
 profile closure, and the two interpreters running the same formula programs;
 then one closure of a 12-world, 6-proposition random structure (5404
 profiles) on each backend, in full and over vocabulary classes, and the
@@ -28,7 +31,7 @@ from awarecheck import checker, kernel
 from awarecheck._kernel_py import Kernel
 from awarecheck.checker import KXA, _compile_program, _program
 from awarecheck.fuzz import random_open_formula, random_sentence
-from awarecheck.model import generate_random
+from awarecheck.model import count_models, enumerate_models, generate_random
 from awarecheck.proofs import parse_system, schema_instances
 from awarecheck.syntax import Forall
 
@@ -60,6 +63,19 @@ def main(argv=None):
     args = ap.parse_args(argv)
     print(f"backend {kernel.BACKEND}: {kernel.BACKEND_REASON}")
     results = {}
+
+    rte, pq = frozenset("rte"), ("p", "q")
+    rng = random.Random(args.seed)
+    seeds = [rng.randrange(2 ** 31) for _ in range(150)]
+    for what, n, build in (
+            ("random", len(seeds), lambda: [
+                generate_random(1, 3, pq, rte, seed=s) for s in seeds]),
+            ("enum", count_models(1, 3, pq, rte),
+             lambda: sum(1 for _ in enumerate_models(1, 3, pq, rte)))):
+        took = 1e6 / (timed(build, args.seconds) * n)
+        print(f"build    {what + ':':7} {took:8.2f} us per structure "
+              f"({n} structures)")
+        results[f"build.{what}"] = (took, "us")
 
     rng = random.Random(args.seed)
     models = [generate_random(2, 4, ["p", "q"], frozenset(), seed=k)

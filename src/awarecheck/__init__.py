@@ -3,9 +3,9 @@ quantified epistemic logics of awareness over world-relative languages."""
 
 from .checker import (KXA, XA, K_ONLY, Profile, QuantifierDomain, Truth,
                       brute_force_forall, direct_evaluate, evaluate,
-                      evaluate_hr, forall_witness, realizable_profiles,
-                      satisfying_worlds, stabilization_depth,
-                      weak_counterexample, weakly_valid)
+                      evaluate_hr, evaluate_with_witness, forall_witness,
+                      realizable_profiles, satisfying_worlds,
+                      stabilization_depth, weak_counterexample, weakly_valid)
 from .model import (AwarenessStructure, InvalidStructure, PropertyReport,
                     count_models, enumerate_models, generate_random,
                     load_model, model_from_dict, model_to_dict,

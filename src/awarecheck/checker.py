@@ -33,8 +33,8 @@ from .syntax import _subst_var
 
 __all__ = [
     "Truth", "QuantifierDomain", "KXA", "XA", "K_ONLY", "Profile",
-    "evaluate", "satisfying_worlds", "weak_counterexample", "weakly_valid",
-    "realizable_profiles",
+    "evaluate", "evaluate_with_witness", "satisfying_worlds",
+    "weak_counterexample", "weakly_valid", "realizable_profiles",
     "stabilization_depth", "forall_witness", "ForallProbe",
     "brute_force_forall", "qf_sentences", "evaluate_hr", "direct_evaluate",
     "OracleBudgetExceeded", "Corpus",
@@ -310,12 +310,29 @@ def _sentence_masks(m, f, domain):
     return (ctx, *ctx.kernel.run(code, roots))
 
 
-def evaluate(m, world, f, domain=KXA):
-    """Three-valued truth of the sentence f at a world."""
-    ctx, vocab, truth, _ = _sentence_masks(m, f, domain)
+def _at_world(m, world, f, domain):
+    """(context, code, roots, world index) for the sentence f at a world,
+    with the context closed as far as f's program needs."""
+    code, roots = _program(m, f)
+    ctx = _context(m, domain, code)
     if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
-    return _truth_at(ctx, m.worlds.index(world), vocab, truth)
+    return ctx, code, roots, m.worlds.index(world)
+
+
+def evaluate(m, world, f, domain=KXA):
+    """Three-valued truth of the sentence f at a world."""
+    ctx, code, roots, w = _at_world(m, world, f, domain)
+    return _truth_at(ctx, w, *ctx.kernel.run(code, roots)[:2])
+
+
+def evaluate_with_witness(m, world, f, domain=KXA):
+    """(evaluate's value, forall_witness's sentence) for f at a world, from
+    one kernel run."""
+    ctx, code, roots, w = _at_world(m, world, f, domain)
+    if not code[6]:  # every binder has a slot: no quantifier, no witness
+        return _truth_at(ctx, w, *ctx.kernel.run(code, roots)[:2]), None
+    return _quantifier_witness(ctx, code, roots[0], w)
 
 
 def satisfying_worlds(m, f, domain=KXA):
@@ -361,13 +378,8 @@ def forall_witness(m, world, f, domain=KXA):
     `forall x phi` the instance making phi fail, also when the quantifier is
     buried under negation, conjunction or a refuted K/X.  None when no
     quantifier is responsible."""
-    code, roots = _program(m, f)
-    ctx = _context(m, domain, code)
-    if world not in m.worlds:
-        raise ValueError(f"unknown world {world!r}")
-    if not code[6]:  # every binder has a slot: no quantifier, no witness
-        return None
-    return _quantifier_witness(ctx, code, roots[0], m.worlds.index(world))
+    ctx, code, roots, w = _at_world(m, world, f, domain)
+    return _quantifier_witness(ctx, code, roots[0], w)[1] if code[6] else None
 
 
 def _truth_at(ctx, w, vocab, truth):
@@ -377,18 +389,20 @@ def _truth_at(ctx, w, vocab, truth):
 
 
 def _quantifier_witness(ctx, code, root, w):
-    """The witness search from node root of the program code at world w: one
-    run over the program's closed nodes, which also gives, per quantifier
-    among them and per world where it is False, its first falsifying
-    profile, then a depth-first walk from root down the nodes outside every
-    quantifier, into a negation's body and into the False parts of a False
-    conjunction or K/X, at each successor in turn."""
+    """(root's value at world w, its witness or None): the witness search
+    from node root of the program code at w.  One run over the program's
+    closed nodes gives their values and, per quantifier among them and per
+    world where it is False, its first falsifying profile; then a
+    depth-first walk from root down the nodes outside every quantifier, into
+    a negation's body and into the False parts of a False conjunction or
+    K/X, at each successor in turn."""
     op, a1, a2, aux, _, used, _ = code
     n = ctx.kernel.n_worlds
     closed = array("i", [i for i, u in enumerate(used) if not u])
     falsifiers = array("q", bytes(8 * n * len(op)))
     out = ctx.kernel.run(code, closed, falsifiers)
     values = dict(zip(closed, zip(out[::3], out[1::3])))
+    verdict = _truth_at(ctx, w, *values[root])
     stack = [(root, w)]
     while stack:
         i, w = stack.pop()
@@ -399,7 +413,7 @@ def _quantifier_witness(ctx, code, root, w):
         if value is not Truth.FALSE:
             continue
         if op[i] == P_FORALL:
-            return ctx.witness_formula(falsifiers[i * n + w])
+            return verdict, ctx.witness_formula(falsifiers[i * n + w])
         if op[i] == P_AND:
             nexts = [(a1[i], w), (a2[i], w)]
         elif op[i] in (P_K, P_X):
@@ -409,7 +423,7 @@ def _quantifier_witness(ctx, code, root, w):
             continue
         stack += [(j, u) for j, u in reversed(nexts)
                   if _truth_at(ctx, u, *values[j]) is Truth.FALSE]
-    return None
+    return verdict, None
 
 
 # --- quantifier-free sentence enumeration and the brute-force oracle --------
@@ -615,9 +629,8 @@ def evaluate_hr(m, world, f, domain=KXA):
     sentences.  Never Undefined."""
     view = m._ctx_cache.get("hr")
     if view is None:
-        view = AwarenessStructure(m.agents, m.props, m.worlds,
-                                  dict.fromkeys(m.worlds, frozenset(m.props)),
-                                  m.val,
-                                  m.rel, m.aware, check=False)
-        m._ctx_cache["hr"] = view
+        n, pwm, *rest = m.encoding()
+        every = ((1 << n) - 1,) * len(pwm)
+        view = m._ctx_cache["hr"] = AwarenessStructure._of(
+            m.agents, m.props, m.worlds, (n, every, *rest))
     return evaluate(view, world, f, domain)

@@ -15,7 +15,7 @@ import random
 import sys
 
 from .checker import (KXA, XA, QuantifierDomain, Truth, evaluate,
-                      forall_witness, realizable_profiles,
+                      evaluate_with_witness, realizable_profiles,
                       stabilization_depth, weak_counterexample)
 from .fuzz import random_qf_sentence, random_sentence
 from .model import (InvalidStructure, enumerate_models, count_models,
@@ -69,8 +69,7 @@ def cmd_eval(args):
     domain = _domain(args)
     if args.world not in m.worlds:
         return _fail(f"unknown world {args.world!r}")
-    value = evaluate(m, args.world, f, domain)
-    witness = forall_witness(m, args.world, f, domain)
+    value, witness = evaluate_with_witness(m, args.world, f, domain)
     payload = {
         "command": "eval", "model": args.model, "world": args.world,
         "formula": pretty(f), "value": str(value),

@@ -39,29 +39,25 @@ class AwarenessStructure:
     """A finite structure (S, L, pi, K_1..K_n, A_1..A_n) over propositions
     props.
 
-    lang/val/aware store vocabularies as frozensets; by generation from
-    primitive propositions, the awareness vocabulary A_i(s) determines the
-    full sentence set the agent is aware of.
-
-    With check=True the inputs are copied, frozen and validated.  With
-    check=False they are adopted as given, which must be their frozen form:
-    agents as an int, props and worlds as tuples, lang and val as dicts from
-    world to frozenset, rel as a dict from agent to a frozenset of (world,
-    world) tuples, aware as a dict from agent to a dict from world to
-    frozenset.  Such a structure shares these maps with its caller, and
-    neither may change them.
+    A structure is stored as its kernels' model encoding (see encoding()):
+    per proposition the mask of the worlds whose language has it and of those
+    where it is true, per agent a successor mask and an awareness mask per
+    world.  The constructor copies, freezes and validates its arguments and
+    encodes them once.  The set views lang, val, rel and aware keep their
+    types: lang and val dicts from world to frozenset, rel a dict from agent
+    to a frozenset of (world, world) tuples, aware a dict from agent to a
+    dict from world to frozenset; by generation from primitive propositions,
+    the awareness vocabulary A_i(s) determines the full sentence set the
+    agent is aware of.  A structure that the generators, rename_props or
+    evaluate_hr build from masks holds only its encoding until a set view is
+    first read, and then decodes them all.
     """
 
     __slots__ = ("agents", "props", "worlds", "lang", "val", "rel", "aware",
                  "_ctx_cache", "_encoding")
 
-    def __init__(self, agents, props, worlds, lang, val, rel, aware,
-                 check=True):
+    def __init__(self, agents, props, worlds, lang, val, rel, aware):
         self._ctx_cache = {}
-        if not check:
-            self.agents, self.props, self.worlds = agents, props, worlds
-            self.lang, self.val, self.rel, self.aware = lang, val, rel, aware
-            return
         self.agents = int(agents)
         self.props = tuple(props)
         self.worlds = tuple(worlds)
@@ -72,6 +68,34 @@ class AwarenessStructure:
         self.aware = {i: {w: frozenset(aware[i][w]) for w in self.worlds}
                       for i in range(1, self.agents + 1)}
         self._check()
+        worlds, agents = self.worlds, range(1, self.agents + 1)
+        widx = {w: j for j, w in enumerate(worlds)}
+        bit = {p: 1 << j for j, p in enumerate(self.props)}
+        succ = [[0] * len(worlds) for _ in agents]
+        for i in agents:
+            for s, t in self.rel[i]:
+                succ[i - 1][widx[s]] |= 1 << widx[t]
+        self._encoding = (
+            len(worlds),
+            *[tuple([sum([1 << j for j, w in enumerate(worlds)
+                          if p in sets[w]]) for p in self.props])
+              for sets in (self.lang, self.val)],
+            tuple(map(tuple, succ)),
+            tuple([tuple([sum(map(bit.__getitem__, self.aware[i][w]))
+                          for w in worlds]) for i in agents]))
+
+    @staticmethod
+    def _of(agents, props, worlds, encoding):
+        """The structure with this encoding, checked by no one: agents an
+        int, props and worlds tuples, and encoding in encoding()'s form."""
+        m = _Encoded.__new__(_Encoded)
+        m.agents, m.props, m.worlds = agents, props, worlds
+        m._encoding, m._ctx_cache = encoding, {}
+        return m
+
+    def __reduce__(self):  # copy and pickle carry the encoding, no cache
+        return AwarenessStructure._of, (self.agents, self.props, self.worlds,
+                                        self._encoding)
 
     def _check(self):
         if self.agents < 1 or not self.worlds:
@@ -111,24 +135,8 @@ class AwarenessStructure:
                         f"successor {t!r}")
 
     def encoding(self):
-        """The kernels' model encoding (see _kernel_py) as tuples, attached
-        by the generators from their masks, else derived once from the sets."""
-        if not hasattr(self, "_encoding"):
-            worlds, agents = self.worlds, range(1, self.agents + 1)
-            widx = {w: j for j, w in enumerate(worlds)}
-            bit = {p: 1 << j for j, p in enumerate(self.props)}
-            succ = [[0] * len(worlds) for _ in agents]
-            for i in agents:
-                for s, t in self.rel[i]:
-                    succ[i - 1][widx[s]] |= 1 << widx[t]
-            self._encoding = (
-                len(worlds),
-                *[tuple([sum([1 << j for j, w in enumerate(worlds)
-                              if p in sets[w]]) for p in self.props])
-                  for sets in (self.lang, self.val)],
-                tuple(map(tuple, succ)),
-                tuple([tuple([sum(map(bit.__getitem__, self.aware[i][w]))
-                              for w in worlds]) for i in agents]))
+        """The kernels' model encoding (see _kernel_py) as tuples:
+        (n_worlds, prop_world_masks, prop_true, succ, aware)."""
         return self._encoding
 
     def successors(self, agent, world):
@@ -147,6 +155,39 @@ class AwarenessStructure:
     def __repr__(self):
         return (f"AwarenessStructure(agents={self.agents}, "
                 f"worlds={list(self.worlds)}, props={list(self.props)})")
+
+
+class _Encoded(AwarenessStructure):
+    """A structure built from masks by AwarenessStructure._of, whose set
+    views are decoded from its encoding on first read.  The views are
+    decoded in this subclass alone, because a class with __getattr__ gets no
+    specialized attribute loads from CPython: once decoded, the structure
+    becomes a plain AwarenessStructure."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only for an unset slot or an unknown name; any name but a
+        # set view fails before a slot is read, or an object that copy or
+        # pickle made, with no slot set yet, would recurse
+        if name not in ("lang", "val", "rel", "aware"):
+            raise AttributeError(name)
+        n, pwm, ptrue, succ, aware = self._encoding
+        props, worlds = self.props, self.worlds
+
+        def named(mask):
+            return frozenset(map(props.__getitem__, _bits(mask)))
+
+        self.lang, self.val = ({w: named(mask) for w, mask in
+                                zip(worlds, _transpose(masks, n))}
+                               for masks in (pwm, ptrue))
+        self.rel = {i: frozenset((s, worlds[t]) for s, row in zip(worlds, rows)
+                                 for t in _bits(row))
+                    for i, rows in enumerate(succ, 1)}
+        self.aware = {i: dict(zip(worlds, map(named, rows)))
+                      for i, rows in enumerate(aware, 1)}
+        self.__class__ = AwarenessStructure
+        return getattr(self, name)
 
 
 @dataclass
@@ -262,23 +303,14 @@ def rename_props(m, tau):
 
     tau maps propositions in m.props to new names; omitted propositions map
     to themselves.  Languages, valuations and awareness sets are renamed
-    pointwise, relations are untouched.
+    pointwise, relations are untouched: the encoding, which indexes
+    propositions by position, is m's.
     """
     full = {p: tau.get(p, p) for p in m.props}
     if len(set(full.values())) != len(full):
         raise ValueError("renaming is not injective")
-
-    def ren(s):
-        return frozenset(full[p] for p in s)
-
-    return AwarenessStructure(
-        m.agents, tuple(full[p] for p in m.props), m.worlds,
-        {w: ren(m.lang[w]) for w in m.worlds},
-        {w: ren(m.val[w]) for w in m.worlds},
-        m.rel,
-        {i: {w: ren(m.aware[i][w]) for w in m.worlds}
-         for i in range(1, m.agents + 1)},
-        check=False)
+    return AwarenessStructure._of(m.agents, tuple(full.values()), m.worlds,
+                                  m.encoding())
 
 
 def swap_model(m, p, p2):
@@ -353,6 +385,20 @@ def _mask_components(succ):
 
 # --- random generation -----------------------------------------------------
 
+def _check_args(agents, n_worlds, props):
+    """props as a tuple, once the generators' shared bounds hold: at least
+    one agent, world (n_worlds, the least an enumeration's bounds reach)
+    and proposition, and no proposition named twice."""
+    props = tuple(props)
+    if not props:
+        raise ValueError("need at least one proposition")
+    if agents < 1 or n_worlds < 1 or len(set(props)) < len(props):
+        raise InvalidStructure("need at least one agent" if agents < 1 else
+                               "need at least one world" if n_worlds < 1
+                               else "duplicate proposition ids")
+    return props
+
+
 def generate_random(agents, n_worlds, props, model_class=frozenset(),
                     seed=0, density=0.35, require_nonempty_awareness=False,
                     rng=None):
@@ -362,52 +408,42 @@ def generate_random(agents, n_worlds, props, model_class=frozenset(),
     under the class properties, then one awareness vocabulary per connected
     component drawn from the intersection of the component's languages (which
     makes ka and containment hold by construction).  So only the arguments
-    are checked, and the structure is built with check=False.
+    are checked.  Everything is drawn into masks, which become the
+    structure's encoding; valuations and awareness vocabularies are drawn
+    over propositions in name order.
     """
-    if not props:
-        raise ValueError("need at least one proposition")
-    if agents < 1 or n_worlds < 1 or len(set(props)) < len(props):
-        raise InvalidStructure("need at least one agent" if agents < 1 else
-                               "need at least one world" if n_worlds < 1
-                               else "duplicate proposition ids")
+    props = _check_args(agents, n_worlds, props)
     if rng is None:
         rng = random.Random(seed)
-    props = tuple(props)
-    pidx = {p: j for j, p in enumerate(props)}
-    worlds = tuple(f"w{j}" for j in range(n_worlds))
-    lang, val, pwm, ptrue = {}, {}, [0] * len(props), [0] * len(props)
-    for j, w in enumerate(worlds):
-        lang[w] = frozenset([p for p in props if rng.random() < 0.75]
-                            or [rng.choice(props)])
-        val[w] = frozenset(p for p in sorted(lang[w]) if rng.random() < 0.5)
-        for sets, masks in ((lang, pwm), (val, ptrue)):
-            for p in sets[w]:
-                masks[pidx[p]] |= 1 << j
-    rel, aware, succs, aware_rows = {}, {}, [], []
-    for i in range(1, agents + 1):
+    by_name = sorted(range(len(props)), key=props.__getitem__)
+    langs, vals = [], []
+    for _ in range(n_worlds):
+        lang = sum(1 << j for j in range(len(props)) if rng.random() < 0.75) \
+            or 1 << rng.randrange(len(props))
+        langs.append(lang)
+        vals.append(sum(1 << j for j in by_name
+                        if lang >> j & 1 and rng.random() < 0.5))
+    succs, aware_rows = [], []
+    for _ in range(agents):
         succ = _close([sum(1 << t for t in range(n_worlds)
                            if rng.random() < density)
-                       for _ in worlds], model_class)
-        rel[i] = frozenset((worlds[s], worlds[t]) for s in range(n_worlds)
-                           for t in _bits(succ[s]))
-        aware[i], row = {}, [0] * n_worlds
+                       for _ in range(n_worlds)], model_class)
+        row = [0] * n_worlds
         for comp in _mask_components(succ):
             members = _bits(comp)
-            shared = sorted(frozenset.intersection(*[lang[worlds[w]]
-                                                     for w in members]))
-            picked = frozenset(p for p in shared if rng.random() < 0.5)
+            inter = reduce(and_, [langs[w] for w in members])
+            shared = [j for j in by_name if inter >> j & 1]
+            picked = sum(1 << j for j in shared if rng.random() < 0.5)
             if require_nonempty_awareness and shared and not picked:
-                picked = frozenset((rng.choice(shared),))
-            mask = sum(1 << pidx[p] for p in picked)
+                picked = 1 << rng.choice(shared)
             for w in members:
-                aware[i][worlds[w]], row[w] = picked, mask
+                row[w] = picked
         succs.append(succ)
         aware_rows.append(tuple(row))
-    m = AwarenessStructure(agents, props, worlds, lang, val, rel, aware,
-                           check=False)
-    m._encoding = (n_worlds, tuple(pwm), tuple(ptrue), tuple(succs),
-                   tuple(aware_rows))
-    return m
+    return AwarenessStructure._of(
+        agents, props, tuple(f"w{j}" for j in range(n_worlds)),
+        (n_worlds, _transpose(langs, len(props)),
+         _transpose(vals, len(props)), tuple(succs), tuple(aware_rows)))
 
 
 # --- exhaustive enumeration ------------------------------------------------
@@ -457,6 +493,7 @@ def count_models(agents, max_worlds, props, model_class=frozenset(),
     through its split into components, so each split is counted once, times
     the number of relations that have it.
     """
+    props = _check_args(agents, min(min_worlds, max_worlds), props)
     total = 0
     for k in range(min_worlds, max_worlds + 1):
         splits = Counter(tuple(_mask_components(succ))
@@ -480,55 +517,40 @@ def enumerate_models(agents, max_worlds, props, model_class=frozenset(),
     The count explodes as documented in count_models; the generator refuses
     to start if the exact count exceeds max_count.
     """
-    props = tuple(props)
-    if not props:
-        raise ValueError("need at least one proposition")
+    props = _check_args(agents, min(min_worlds, max_worlds), props)
     if max_count is not None:
         n = count_models(agents, max_worlds, props, model_class,
                          constant_language, min_worlds)
         if n > max_count:
             raise ValueError(f"enumeration would yield {n} models "
                              f"(cap {max_count})")
-    as_set = cache(lambda mask: frozenset(props[j] for j in _bits(mask)))
-    agent_ids = range(1, agents + 1)
     for k in range(min_worlds, max_worlds + 1):
         worlds = tuple(f"w{j}" for j in range(k))
         rels = _relations(k, model_class)
-        rel_pairs = [frozenset((worlds[s], worlds[t]) for s in range(k)
-                               for t in _bits(succ[s])) for succ in rels]
         splits = {}
         split_of = [splits.setdefault(tuple(_mask_components(succ)),
                                       len(splits)) for succ in rels]
         for langs, inters in _languages(k, len(props), constant_language,
                                         splits):
-            lang_map = {w: as_set(lang) for w, lang in zip(worlds, langs)}
             pwm = _transpose(langs, len(props))
-            # per split, each awareness choice as a map from world to set,
-            # with its mask per world: that of the world's component
-            aware_maps = []
+            # per split, each awareness choice as its mask per world: that
+            # of the world's component
+            aware_rows = []
             for pairs in inters:
                 owner = [c for w in range(k)
                          for c, (comp, _) in enumerate(pairs) if comp >> w & 1]
-                rows = [tuple(map(choice.__getitem__, owner)) for choice in
-                        product(*[_subsets(inter) for _, inter in pairs])]
-                aware_maps.append([(dict(zip(worlds, map(as_set, row))), row)
-                                   for row in rows])
-            val_maps = [(dict(zip(worlds, map(as_set, vals))),
-                         _transpose(vals, len(props)))
-                        for vals in product(*map(_subsets, langs))]
+                choices = product(*[_subsets(inter) for _, inter in pairs])
+                aware_rows.append([tuple(map(choice.__getitem__, owner))
+                                   for choice in choices])
+            ptrues = [_transpose(vals, len(props))
+                      for vals in product(*map(_subsets, langs))]
             for rel_idx in product(range(len(rels)), repeat=agents):
-                rel_map = {i: rel_pairs[r] for i, r in zip(agent_ids, rel_idx)}
                 succ = tuple(rels[r] for r in rel_idx)
-                for choice in product(*[aware_maps[split_of[r]]
-                                        for r in rel_idx]):
-                    aware_map = {i: c[0] for i, c in zip(agent_ids, choice)}
-                    aware_rows = tuple(c[1] for c in choice)
-                    for val_map, ptrue in val_maps:
-                        m = AwarenessStructure(
-                            agents, props, worlds, lang_map, val_map,
-                            rel_map, aware_map, check=False)
-                        m._encoding = (k, pwm, ptrue, succ, aware_rows)
-                        yield m
+                for rows in product(*[aware_rows[split_of[r]]
+                                      for r in rel_idx]):
+                    for ptrue in ptrues:
+                        yield AwarenessStructure._of(
+                            agents, props, worlds, (k, pwm, ptrue, succ, rows))
 
 
 # --- JSON ------------------------------------------------------------------
@@ -593,8 +615,7 @@ def model_from_dict(d):
                for i in range(1, agents + 1)}
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStructure(f"malformed model JSON: {exc}") from exc
-    return AwarenessStructure(agents, props, worlds, lang, val, rel, aware,
-                              check=True)
+    return AwarenessStructure(agents, props, worlds, lang, val, rel, aware)
 
 
 def load_model(path):

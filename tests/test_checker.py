@@ -9,7 +9,8 @@ from awarecheck.checker import (K_ONLY, KXA, XA, Corpus, OracleBudgetExceeded,
                                 QuantifierDomain, Truth, _compile_program,
                                 _context, _quantifier_witness, _truth_at,
                                 brute_force_forall, direct_evaluate,
-                                evaluate, evaluate_hr, forall_witness,
+                                evaluate, evaluate_hr,
+                                evaluate_with_witness, forall_witness,
                                 qf_sentences, realizable_profiles,
                                 satisfying_worlds, stabilization_depth,
                                 weak_counterexample, weakly_valid)
@@ -537,5 +538,7 @@ def test_corpus_program_shares_nodes():
                 world = weak_counterexample(m, f, domain)
                 assert world == (m.worlds[(bad & -bad).bit_length() - 1]
                                  if bad else None)
-                assert witnesses[k] == [forall_witness(m, w, f, domain)
-                                        for w in m.worlds]
+                assert witnesses[k] == [
+                    (evaluate(m, w, f, domain),
+                     forall_witness(m, w, f, domain)) for w in m.worlds] == [
+                    evaluate_with_witness(m, w, f, domain) for w in m.worlds]

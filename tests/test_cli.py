@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from awarecheck import checker
+from awarecheck._kernel_py import Kernel
 from awarecheck.cli import main
 from awarecheck.checker import evaluate, Truth
 from awarecheck.model import load_model
@@ -106,6 +108,21 @@ def test_eval_witness_closed_loop(capsys):
     assert payload["value"] == "False" and code == 1
 
 
+def test_quantified_eval_runs_the_kernel_once(capsys, monkeypatch):
+    # the verdict and the witness come from one run of the sentence's
+    # program, on either backend
+    runs = []
+    for cls in {checker.NativeKernel, Kernel}:
+        def counted(self, *args, real=cls.run):
+            runs.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(cls, "run", counted)
+    code, out, _ = run(capsys, "eval", BARCAN, "t", "forall #x . A1 #x",
+                       "--json")
+    assert code == 1 and json.loads(out)["witness"] == "q"
+    assert len(runs) == 1
+
+
 def test_unc_fixture_via_cli(capsys):
     code, out, _ = run(
         capsys, "eval", UNC, "s",
@@ -195,7 +212,11 @@ def test_bad_bounds_are_errors(capsys):
                  ["enum", "--limit", "-1"],
                  ["enum", "--max-worlds", "5"],
                  ["enum", "--max-worlds", "3", "--props", "p,q,r"],
-                 ["enum", "--max-worlds", "4", "--props", "p,q,r"]):
+                 ["enum", "--max-worlds", "4", "--props", "p,q,r"],
+                 ["enum", "--agents", "-1", "--count-only"],
+                 ["enum", "--agents", "0"], ["enum", "--props", "p,p"],
+                 ["enum", "--max-worlds", "0", "--count-only"],
+                 ["enum", "--props", ",", "--count-only"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
 

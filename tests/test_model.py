@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import sys
 import pytest
 
 import awarecheck
-from awarecheck.checker import evaluate
+from awarecheck.checker import evaluate, evaluate_hr
 from awarecheck.fuzz import random_sentence
 from awarecheck.model import (AwarenessStructure, InvalidStructure,
                               count_models, enumerate_models,
@@ -174,35 +176,85 @@ def test_generated_awareness_constant_on_components():
             assert m.aware[1][s] == m.aware[1][t]
 
 
-def test_attached_encoding_is_the_derived_one():
-    # generation and enumeration attach the kernels' encoding from their
-    # masks; the same structure built plainly derives it from its sets
-    def derived(m):
-        return AwarenessStructure(m.agents, m.props, m.worlds, m.lang, m.val,
-                                  m.rel, m.aware, check=False).encoding()
+def _held_views(m):
+    """The set views m holds, read without decoding any."""
+    held = set()
+    for name in ("lang", "val", "rel", "aware"):
+        try:
+            object.__getattribute__(m, name)
+        except AttributeError:
+            continue
+        held.add(name)
+    return held
 
+
+def _rebuilt(m):
+    """m through the checked constructor, from its decoded set views."""
+    return AwarenessStructure(m.agents, m.props, m.worlds, m.lang, m.val,
+                              m.rel, m.aware)
+
+
+def test_attached_encoding_is_the_derived_one():
+    # a generated or enumerated structure holds only its encoding until a
+    # set view is read; rebuilt from the decoded views by the checked
+    # constructor, it passes the checks and derives the same encoding
     streams = [enumerate_models(1, 2, ("p", "q")),
-               enumerate_models(1, 2, ("p", "q"), constant_language=True),
+               enumerate_models(1, 2, ("q", "p"), constant_language=True),
                enumerate_models(1, 2, ("p", "q"), frozenset("rte")),
                enumerate_models(2, 2, ("p",)),
-               enumerate_models(0, 2, ("p", "q"))]
+               enumerate_models(1, 3, ("p",), frozenset("e"), min_worlds=3)]
+    generated = (generate_random(1 + seed % 3, 1 + seed % 4, ("r", "p", "q"),
+                                 parse_model_class(cls), seed=seed,
+                                 require_nonempty_awareness=nonempty)
+                 for seed in range(40)
+                 for cls in ("", "r", "t", "e", "rt", "re", "te", "rte")
+                 for nonempty in (False, True))
     n = 0
-    for m in itertools.chain(*streams):
-        assert m._encoding == derived(m) and m.encoding() is m._encoding
+    for m in itertools.chain(*streams, generated):
+        assert not _held_views(m)
+        encoding = m.encoding()
+        rebuilt = _rebuilt(m)
+        assert rebuilt == m and rebuilt.encoding() == encoding
+        assert model_from_dict(model_to_dict(m)) == m
         n += 1
     assert n > 1000
-    # no agents: every structure is still yielded, with empty agent rows
-    assert sum(1 for _ in enumerate_models(0, 2, ("p", "q"))) \
-        == count_models(0, 2, ("p", "q")) == 72
-    for seed in range(40):
-        for cls in ("", "r", "t", "e", "rt", "re", "te", "rte"):
-            m = generate_random(1 + seed % 3, 1 + seed % 4, ("p", "q", "r"),
-                                parse_model_class(cls), seed=seed,
-                                require_nonempty_awareness=seed % 2 == 1)
-            assert m._encoding == derived(m)
-            # built unchecked, yet the constructor's checks pass on it
-            assert AwarenessStructure(m.agents, m.props, m.worlds, m.lang,
-                                      m.val, m.rel, m.aware) == m
+    # the generators check their arguments alike; no agents is an error
+    for make in (lambda: count_models(0, 2, ("p", "q")),
+                 lambda: next(enumerate_models(0, 2, ("p", "q"))),
+                 lambda: generate_random(0, 2, ("p", "q"))):
+        with pytest.raises(InvalidStructure, match="at least one agent"):
+            make()
+
+
+def test_views_are_decoded_on_first_read():
+    m = generate_random(2, 3, ("p", "q"), frozenset("rte"), seed=5)
+    evaluate_hr(m, "w0", parse("forall #x . (#x -> K1 #x)", 2))
+    hr = m._ctx_cache["hr"]
+    for made in (m, next(enumerate_models(1, 2, ("p",))),
+                 rename_props(m, {"p": "r"}), hr):
+        assert not _held_views(made)
+        with pytest.raises(AttributeError):
+            made.no_such_view
+        assert made.aware and _held_views(made) == {"lang", "val", "rel",
+                                                     "aware"}
+        # decoded, it is a plain structure, whose attribute loads CPython
+        # specializes
+        assert type(made) is AwarenessStructure
+    assert all(lang == {"p", "q"} for lang in hr.lang.values())
+    assert (hr.val, hr.rel, hr.aware) == (m.val, m.rel, m.aware)
+    assert _held_views(barcan_model()) == {"lang", "val", "rel", "aware"}
+
+
+def test_copy_and_pickle_of_a_structure_from_masks():
+    for m in (generate_random(2, 3, ("p", "q"), seed=3),
+              next(enumerate_models(1, 2, ("p",), min_worlds=2)),
+              rename_props(barcan_model(), {"p": "r"})):
+        evaluate(m, m.worlds[0], parse("forall #x . (#x -> K1 #x)", 1))
+        for other in (copy.copy(m), copy.deepcopy(m),
+                      pickle.loads(pickle.dumps(m))):
+            assert other == m and other is not m
+            assert model_to_dict(other) == model_to_dict(m)
+            assert _rebuilt(other) == m
 
 
 def test_one_world_forced_shape():
