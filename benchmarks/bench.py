@@ -5,11 +5,21 @@ numbers at a fixed time budget, the Tier-1 suite's wall time and outcome
 counts with the durations of its slowest tests (c2, c3, c4 and c9), the
 kernel backend and why it was chosen, and the machine it ran on.
 
-Run:  python3 benchmarks/bench.py LABEL
+Run:  python3 benchmarks/bench.py LABEL [--base REV --pairs N]
 
 perfbench runs in a child process per workload, from this checkout's src/,
 and so does Tier-1, once, writing its per-test durations to a temporary
 JUnit XML file.
+
+With --base, the file also gets a `pairs` section: REV is exported with
+`git archive` into a temporary directory, and each workload then runs N
+pairs of perfbench runs, one from each checkout, each with its own
+perfbench/run.py and src/, the base first in even pairs and second in odd
+ones, so that neither side always runs after the other.  Per workload and
+end-to-end metric it records each side's median and quartiles, the median
+of the per-pair ratios head / base and in how many pairs the head did
+better, in BENCHMARK.json's direction; and per side the share of failed
+operations.  One unpaired run says little on a machine shared with others.
 To record another checkout whose structures have encoding(), copy this file
 and bench_kernel.py into its benchmarks/ and run it there.
 """
@@ -20,8 +30,10 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from xml.etree import ElementTree
@@ -39,14 +51,66 @@ SLOW_TESTS = {"c2": "test_c2_uncertainty_formula",
               "c9": "test_c9_quantifier_oracle_equivalence"}
 
 
-def perfbench(workload):
-    """The last line of perfbench/run.py's output, parsed."""
+def perfbench(workload, root=ROOT):
+    """The last line of the output of perfbench/run.py of the checkout at
+    root, parsed."""
     done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+        [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(SEEDS[workload]),
          "--seconds", str(SECONDS)],
-        cwd=ROOT, capture_output=True, text=True, check=True)
+        cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pairs(base, n):
+    """The `pairs` section: n alternating pairs of perfbench runs per
+    workload, of the checkout of base and of this one."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    commit = subprocess.run(["git", "rev-parse", base], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    runs = {workload: {"base": [], "head": []} for workload in SEEDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        roots = {"base": tmp, "head": ROOT}
+        for root in roots.values():  # builds the native kernel, if it can
+            subprocess.run([sys.executable, "-c", "import awarecheck.kernel"],
+                           cwd=root, check=True, env=dict(
+                               os.environ, PYTHONPATH=os.path.join(root,
+                                                                   "src")))
+        for k in range(n):
+            order = ("base", "head") if k % 2 == 0 else ("head", "base")
+            for workload, got in runs.items():
+                for side in order:
+                    got[side].append(perfbench(workload, roots[side]))
+    out = {"base": base, "base_commit": commit, "n": n,
+           "order": "base first in even pairs", "workloads": {}}
+    for workload, got in runs.items():
+        metrics = {}
+        for name, direction in better.items():
+            values = {side: [run["metrics"][name]["value"] for run in sides]
+                      for side, sides in got.items()}
+            ratios = [h / b for b, h in zip(values["base"], values["head"])]
+            metrics[name] = {
+                "better": direction, "ratio_median": statistics.median(ratios),
+                "won": sum(r < 1 if direction == "lower" else r > 1
+                           for r in ratios),
+                **{side: _spread(v) for side, v in values.items()}}
+        out["workloads"][workload] = {
+            "seed": SEEDS[workload], "seconds": SECONDS, "metrics": metrics,
+            "failed_share": {
+                side: sum(r["failed"] for r in sides) / sum(
+                    r["attempted"] for r in sides)
+                for side, sides in got.items()}}
+    return out
 
 
 def tier1():
@@ -89,7 +153,13 @@ def machine():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
-    label = ap.parse_args(argv).label
+    ap.add_argument("--base", help="a revision to run paired against")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="pairs of perfbench runs per workload (10)")
+    args = ap.parse_args(argv)
+    label = args.label
+    if args.base is not None and args.pairs < 2:
+        ap.error("--pairs must be at least 2")
     sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
     import bench_kernel
     from awarecheck import kernel
@@ -107,6 +177,8 @@ def main(argv=None):
                          for name, (value, unit) in numbers.items()},
         "tier1": tier1(),
     }
+    if args.base is not None:
+        out["pairs"] = pairs(args.base, args.pairs)
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

@@ -13,7 +13,11 @@ with a root per sentence run once; last, on each backend, a cold witness
 search as `awarecheck eval` makes it: on each of the 48 structures, three
 sentences `forall #x . body` as perfbench's `query` draws them, each at a
 random world, with forall_witness timed right after evaluate() on a fresh
-context.
+context; and on each backend cold evaluate_with_witness calls, as `awarecheck
+eval` makes them, at w0 of the one of the 48 structures with 832 class
+records: for `forall #x . #x`, False with a seed as witness, so its closure
+stops at layer 0, and for `forall #x . (#x | !#x)`, True, so it closes all
+ten layers and runs the program after each.
 
 A native closure keeps its output in C, so its times cover ak_close and not
 the copy into Python lists, which only the readers of the records make;
@@ -33,7 +37,7 @@ from awarecheck.checker import KXA, _compile_program, _program
 from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import count_models, enumerate_models, generate_random
 from awarecheck.proofs import parse_system, schema_instances
-from awarecheck.syntax import Forall
+from awarecheck.syntax import Forall, parse
 
 CLASSES = [("python", Kernel)] + \
     [("c", kernel.NativeKernel)] * (kernel.BACKEND == "c")
@@ -192,6 +196,26 @@ def main(argv=None):
         print(f"witness  {name + ':':7} {1e6 * took / n:8.1f} us per cold "
               f"search ({n // len(searches)} x {len(searches)} searches)")
         results[f"witness.{name}"] = (1e6 * took / n, "us")
+
+    m = medium_models[14]  # 832 class records in 10 layers
+    for name, cls in CLASSES:
+        native = checker.NativeKernel
+        checker.NativeKernel = cls
+        try:
+            for verdict, text in (("false", "forall #x . #x"),
+                                  ("true", "forall #x . (#x | !#x)")):
+                f = parse(text, m.agents)
+
+                def query():
+                    m._ctx_cache.clear()
+                    checker.evaluate_with_witness(m, "w0", f)
+
+                took = 1e6 / timed(query, args.seconds)
+                print(f"layered  {name + ':':7} {took:8.1f} us per cold "
+                      f"{verdict} eval at w0 of 832 class records")
+                results[f"layered.{name}.{verdict}"] = (took, "us")
+        finally:
+            checker.NativeKernel = native
     return results
 
 

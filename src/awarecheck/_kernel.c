@@ -12,10 +12,15 @@
    each world, which the witness search reads.  ak_close keys its records
    either by vocabulary, which gives every (vocabulary, truth) pair, or by
    vocabulary class (see cl), which gives one record per class and truth
-   and the same verdicts from ak_run.
+   and the same verdicts from ak_run.  It closes by BFS layer and can stop
+   at any layer and resume later: the records closed through a layer are a
+   prefix of the whole closure's, so a quantifier with a quantifier-free
+   body that a prefix falsifies at a world is False there, with the same
+   first falsifier, and a world query may stop at the layer that decides it.
    The checker closes a structure only when a program with quantifier slots
-   is to run (over classes) or a caller reads the profiles themselves (in
-   full); ak_run must not see a program with slots before ak_close ran.
+   is to run (over classes, layer by layer for a query at one world) or a
+   caller reads the profiles themselves (in full); ak_run must not see a
+   program with slots before ak_close ran.
    Python owns the input buffers; the only memory that outlives a call is
    ak_close's output, which the caller keeps: ak_run reads its vocab and
    truth columns in place as the model's profiles, the caller copies out
@@ -62,20 +67,6 @@ static VF step(const Model *m, int code, int64_t agent, VF x, VF y) {
     return out;
 }
 
-/* Records as parallel columns (vocab, truth, op, arg1, arg2, aux, layer,
-   key, the middle five holding int64 values), an open-addressing hash set
-   over their (key, truth) pairs (record index + 1 per slot, 0 when empty),
-   and a flag set when memory ran out.  A record's key is its vocabulary, or
-   the vocabulary's class.  Mirrored by kernel._Records. */
-enum { C_VOCAB, C_TRUTH, C_KEY = 7, NCOLS };
-typedef struct {
-    int64_t count, cap;
-    uint64_t *col[NCOLS];
-    int64_t *table;
-    uint64_t mask;
-    int64_t failed;
-} Records;
-
 /* The vocabulary classes of a model: cl(v) is the intersection of all its
    propositions with every world's language and every awareness set that
    contains v, the largest vocabulary that lies in the same languages and
@@ -112,6 +103,24 @@ static int classes_of(Classes *c, const Model *m) {
     for (int64_t k = nw; k < c->n; k++) c->sets[k] = m->aware[k - nw];
     return 0;
 }
+
+/* Records as parallel columns (vocab, truth, op, arg1, arg2, aux, layer,
+   key, the middle five holding int64 values), an open-addressing hash set
+   over their (key, truth) pairs (record index + 1 per slot, 0 when empty),
+   and a flag set when memory ran out.  A record's key is its vocabulary,
+   or, with classes set, its class under c.  A closure resumes from
+   frontier, the first record of the last layer closed, layer, that layer's
+   number, and done, set once a layer added nothing: the fixpoint, which
+   frees the hash set and c.  Mirrored by kernel._Records. */
+enum { C_VOCAB, C_TRUTH, C_KEY = 7, NCOLS };
+typedef struct {
+    int64_t count, cap;
+    uint64_t *col[NCOLS];
+    int64_t *table;
+    uint64_t mask;
+    int64_t failed, frontier, layer, done, classes;
+    Classes c;
+} Records;
 
 static uint64_t slot_of(const Records *r, uint64_t key, uint64_t truth) {
     uint64_t h = key * 0x9E3779B97F4A7C15u ^ truth;
@@ -170,24 +179,42 @@ static void apply(Records *r, const Model *m, int code, int64_t agent,
     add(r, r->col[C_KEY][i], y.v, y.f, code, i, -1, agent, layer);
 }
 
-/* Least fixpoint of the profile closure into r, which must be zeroed, under
-   the opcodes set in the bitmask ops.  With classes set, records are keyed
-   by (cl(vocab), truth), and each keeps the vocabulary and node it was
-   first found with; else by (vocab, truth).  Returns 0, 1 when the closure
-   exceeded max_profiles, or -1 when out of memory. */
+static uint64_t key_of(Records *r, uint64_t vocab) {
+    return r->classes ? cl(&r->c, vocab) : vocab;
+}
+
+/* Frees what only a closure still to resume needs. */
+static void settle(Records *r) {
+    free(r->table);
+    free(r->c.sets);
+    free(r->c.memo);
+    r->table = NULL;
+    r->c.sets = r->c.memo = NULL;
+}
+
+/* The profile closure into r under the opcodes set in the bitmask ops,
+   through BFS layer depth, or to its least fixpoint when depth is negative;
+   the seeds are layer 0.  r must be zeroed on the first call, and a later
+   call with the same m, ops and classes resumes where the last one
+   stopped, so the records through a layer do not depend on the calls that
+   closed them.  With classes set, records are keyed by (cl(vocab), truth),
+   and each keeps the vocabulary and node it was first found with; else by
+   (vocab, truth).  Returns 0, 1 when the closure exceeded max_profiles,
+   or -1 when out of memory. */
 int ak_close(const Model *m, int64_t ops, int64_t max_profiles,
-             int64_t classes, Records *r) {
-    int64_t known = 0;
-    Classes c = {0, NULL, NULL, 0};
-    r->failed = rehash(r, 1024) || (classes && classes_of(&c, m));
-    for (int64_t j = 0; j < m->n_props; j++)
-        add(r, classes ? cl(&c, BIT(j)) : BIT(j), BIT(j), m->ptrue[j],
-            P_PROP, -1, -1, j, 0);
-    if (HAS(ops, P_TOP))
-        add(r, classes ? cl(&c, 0) : 0, 0, dom(m, 0), P_TOP, -1, -1, -1, 0);
-    for (int64_t layer = 1; !r->failed; layer++) {
-        int64_t frontier = known;
-        known = r->count;
+             int64_t classes, int64_t depth, Records *r) {
+    if (!r->mask) {
+        r->classes = classes;
+        r->failed = rehash(r, 1024) || (classes && classes_of(&r->c, m));
+        for (int64_t j = 0; j < m->n_props; j++)
+            add(r, key_of(r, BIT(j)), BIT(j), m->ptrue[j], P_PROP, -1, -1,
+                j, 0);
+        if (HAS(ops, P_TOP))
+            add(r, key_of(r, 0), 0, dom(m, 0), P_TOP, -1, -1, -1, 0);
+    }
+    while (!r->failed && !r->done && r->count <= max_profiles &&
+           (depth < 0 || r->layer < depth)) {
+        int64_t frontier = r->frontier, known = r->count, layer = ++r->layer;
         for (int64_t i = frontier; i < known; i++) {
             if (HAS(ops, P_NOT)) apply(r, m, P_NOT, -1, i, layer);
             for (int64_t ai = 0; ai < m->n_agents; ai++) {
@@ -205,20 +232,18 @@ int ak_close(const Model *m, int64_t ops, int64_t max_profiles,
                 VF y = step(m, P_AND, -1,
                             (VF){r->col[C_VOCAB][i], r->col[C_TRUTH][i]},
                             (VF){r->col[C_VOCAB][i2], r->col[C_TRUTH][i2]});
-                uint64_t key = r->col[C_KEY][i] | r->col[C_KEY][i2];
-                add(r, classes ? cl(&c, key) : key, y.v, y.f, P_AND, i, i2,
-                    -1, layer);
+                add(r, key_of(r, r->col[C_KEY][i] | r->col[C_KEY][i2]), y.v,
+                    y.f, P_AND, i, i2, -1, layer);
             }
-        if (r->count == known || r->count > max_profiles) break;
+        r->frontier = known;
+        r->done = r->count == known;
     }
-    free(c.sets);
-    free(c.memo);
-    free(r->table);
-    r->table = NULL;
-    return r->failed ? -1 : r->count > known;
+    if (r->done) settle(r);
+    return r->failed ? -1 : !r->done && r->count > max_profiles;
 }
 
 void ak_free(Records *r) {
+    settle(r);
     for (int j = 0; j < NCOLS; j++) free(r->col[j]);
 }
 

@@ -26,6 +26,11 @@ quantifier-free sentence, which is what the quantifier clause ranges over.
 A closure record is a program node with its profile in front, so the records
 up to k form a program whose node k is profile k's witness.
 
+The closure goes by BFS layer (the seeds are layer 0) and may stop after any
+layer and resume later; the records through a layer are a prefix of the
+whole closure's, so the checker can answer a query at one world from the
+layers that decide it.
+
 The closure runs in one of two modes.  Keyed by (vocab, truth) it is full:
 every profile, as realizable_profiles and the stabilization depth need.
 Keyed by (vocab_class(vocab), truth) it keeps one record per vocabulary
@@ -42,7 +47,7 @@ the native kernel is not built or a structure's masks do not fit it.
 """
 
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 
 P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
 
@@ -66,6 +71,8 @@ class Kernel:
         self.succ = succ
         self.aware = aware
         self.profiles = None  # until close()
+        self._closing = None  # (ops, classes) of the closure
+        self.done = False  # whether the closure reached its fixpoint
         self.dom_cache = {0: (1 << n_worlds) - 1}
         self.class_cache = {}
         self.program = None
@@ -121,32 +128,31 @@ class Kernel:
                 for w in range(self.n_worlds)] + \
             [vocab for row in self.aware for vocab in row]
 
-    def close(self, ops, max_profiles, classes=0):
-        """Least fixpoint of the profile closure under the opcodes set in the
-        bitmask ops (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), with BFS
-        layers; its profiles become the quantifier's domain.  Returns
-        (records, layers) where records[i] = (vocab_mask, truth_mask, op,
-        arg1, arg2, aux) and layers[i] is the minimal witness depth (seeds
-        are 0).  (op, arg1, arg2, aux) is a program node over earlier
-        records.
+    def close(self, ops, max_profiles, classes=0, depth=-1):
+        """The profile closure under the opcodes set in the bitmask ops
+        (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), by BFS layer, through
+        layer depth, or to its least fixpoint when depth is negative; its
+        profiles become the quantifier's domain.  A later call with the same
+        ops and classes resumes where the last one stopped, and done says
+        whether the fixpoint is reached.  Returns (records, layers) where
+        records[i] = (vocab_mask, truth_mask, op, arg1, arg2, aux) and
+        layers[i] is the minimal witness depth (seeds are 0).  (op, arg1,
+        arg2, aux) is a program node over earlier records.
 
         Records are keyed by (vocab, truth), or with classes set by
         (vocab_class(vocab), truth), each keeping the vocabulary and node it
         was first found with: one record per class and truth map, which
         gives the interpreter the same verdicts from fewer profiles.
         """
-        step = self.step
         key_of = self.vocab_class
-        # per new record: NOT, then K and X per agent, then A per agent
-        agents = range(len(self.succ))
-        unary = [(P_NOT, -1)]
-        unary += [(code, ai) for ai in agents for code in (P_K, P_X)]
-        unary += [(P_A, ai) for ai in agents]
-        unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
-        records = []
-        keys = []
-        layers = []
-        index = set()
+        if self._closing != (ops, classes):
+            self._closing = ops, classes
+            self.records, self.layers, self.profiles = [], [], []
+            self._keys, self._index = [], set()
+            self._frontier = self._layer = 0
+            self.done = False
+        records, keys, layers, index = self.records, self._keys, \
+            self.layers, self._index
 
         def add(key_truth, vocab, op, a1, a2, aux, layer):
             if key_truth not in index:
@@ -155,16 +161,24 @@ class Kernel:
                 keys.append(key_truth[0])
                 layers.append(layer)
 
-        for j, truth in enumerate(self.ptrue):
-            key = key_of(1 << j) if classes else 1 << j
-            add((key, truth), 1 << j, P_PROP, -1, -1, j, 0)
-        if (ops >> P_TOP) & 1:
-            key = key_of(0) if classes else 0
-            add((key, self.dom(0)), 0, P_TOP, -1, -1, -1, 0)
-
-        frontier = 0
-        for layer in count(1):
-            known = len(records)
+        if not records:
+            for j, truth in enumerate(self.ptrue):
+                key = key_of(1 << j) if classes else 1 << j
+                add((key, truth), 1 << j, P_PROP, -1, -1, j, 0)
+            if (ops >> P_TOP) & 1:
+                key = key_of(0) if classes else 0
+                add((key, self.dom(0)), 0, P_TOP, -1, -1, -1, 0)
+        step = self.step
+        # per new record: NOT, then K and X per agent, then A per agent
+        agents = range(len(self.succ))
+        unary = [(P_NOT, -1)]
+        unary += [(code, ai) for ai in agents for code in (P_K, P_X)]
+        unary += [(P_A, ai) for ai in agents]
+        unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
+        while not self.done and len(records) <= max_profiles and (
+                depth < 0 or self._layer < depth):
+            frontier, known = self._frontier, len(records)
+            self._layer = layer = self._layer + 1
             for i in range(frontier, known):
                 x, key = records[i][:2], keys[i]
                 for code, ai in unary:  # each keeps the vocabulary
@@ -181,14 +195,15 @@ class Kernel:
                         union = v | rec2[0]
                         add((key_of(key | keys[i2]) if classes else union,
                              t & rec2[1]), union, P_AND, i, i2, -1, layer)
-            if len(records) == known:
-                self.profiles = [rec[:2] for rec in records]
-                self.program = None  # node values over former profiles
-                return records, layers
-            if len(records) > max_profiles:
-                raise RuntimeError(
-                    f"profile closure exceeded {max_profiles} profiles")
-            frontier = known
+            self._frontier, self.done = known, len(records) == known
+        if self.done:  # nothing resumes the closure: drop its hash set
+            self._keys = self._index = None
+        self.profiles += [rec[:2] for rec in records[len(self.profiles):]]
+        self.program = None  # node values over fewer profiles
+        if not self.done and len(records) > max_profiles:
+            raise RuntimeError(
+                f"profile closure exceeded {max_profiles} profiles")
+        return records, layers
 
     def run(self, program, roots, falsifiers=None):
         """Per root of a program, flat, its (vocab mask, truth mask) over all

@@ -7,7 +7,9 @@ quantifier ranges over an infinite set of quantifier-free sentences; it is
 decided by quotienting that set to realizable truth profiles (see kernel),
 and, for evaluation, further to one profile per vocabulary class and truth
 map.  A structure's profiles are closed only when a quantified sentence or
-a reader of the profiles needs them (see _context).
+a reader of the profiles needs them (see _context), and for a query at one
+world only as far as it needs: one BFS layer at a time, up to the first
+layer that decides its value and witness (see _quantifier_witness).
 
 Every sentence is compiled once per proposition order into a formula
 program, the one IR that both interpreters run and the witness search walks
@@ -109,7 +111,9 @@ class _Context:
     """Per-(structure, domain) evaluation state: one kernel over the
     structure's encoding and, once close() has run, the closed profiles and
     the closure's records and layers (copied out of C only when read).
-    classes is None before the closure, else its mode, _CLASSES or _FULL."""
+    classes is None before the closure, else its mode, _CLASSES or _FULL;
+    depth is the last BFS layer closed and complete says whether that
+    reached the fixpoint."""
 
     def __init__(self, m, domain):
         self.domain = domain
@@ -120,20 +124,24 @@ class _Context:
         self.kernel = (NativeKernel if native else _kernel_py.Kernel)(
             *m.encoding())
         self.classes = self.records = self.layers = self.stab_depth = None
+        self.depth, self.complete = -1, False
         self.dom = self.kernel.dom
 
-    def close(self, classes):
-        """Closes the profiles in the mode classes, _CLASSES or _FULL, unless
-        they are closed at least that finely.  A full closure replaces a
-        class closure, and with it the witnesses, which are keyed by record
-        index."""
+    def close(self, classes, depth=-1):
+        """Closes the profiles in the mode classes, _CLASSES or _FULL,
+        through BFS layer depth, or to the fixpoint when depth is -1, unless
+        they are closed that far at least that finely; a closure stopped at
+        a layer resumes there.  A full closure replaces a class closure, and
+        with it the witnesses, which are keyed by record index."""
         if self.classes is None or classes < self.classes:
-            self.records, self.layers = close_profiles(self.kernel,
-                                                       self.domain, classes)
-            self.classes = classes
+            self.classes, self.depth, self.complete = classes, -1, False
+            self._witnesses = {}
+        if not self.complete and not 0 <= depth <= self.depth:
+            self.records, self.layers = close_profiles(
+                self.kernel, self.domain, classes, depth)
+            self.depth, self.complete = depth, self.kernel.done
             self.stab_depth = max(self.layers, default=0) \
                 if classes == _FULL else None  # its readers close in full
-            self._witnesses = {}
 
     def local_stab_depth(self, w):
         """Max witness layer among profiles whose vocabulary fits the
@@ -162,17 +170,19 @@ class _Context:
         return got
 
 
-def close_profiles(kernel, domain, classes):
+def close_profiles(kernel, domain, classes, depth=-1):
     """(records, layers) of the domain's profile closure on a kernel, in the
-    mode classes, whose quantifiers then range over the closed profiles."""
-    return kernel.close(domain.opcodes, 4_000_000, classes)
+    mode classes, through BFS layer depth or to the fixpoint; the kernel's
+    quantifiers then range over the closed profiles."""
+    return kernel.close(domain.opcodes, 4_000_000, classes, depth)
 
 
 def _context(m, domain, code=None, full=False):
     """m's context under the domain, closed as far as its caller needs: in
     full for a caller that reads the profiles themselves (full), over
     vocabulary classes before a program with quantifier slots (code) runs,
-    which gives the same verdicts, and not at all otherwise."""
+    which gives the same verdicts, and not at all otherwise; a query at one
+    world closes it further itself."""
     # opcodes determines the domain, and an int hashes cheaply
     ctx = m._ctx_cache.get(domain.opcodes)
     if ctx is None:
@@ -310,29 +320,28 @@ def _sentence_masks(m, f, domain):
     return (ctx, *ctx.kernel.run(code, roots))
 
 
-def _at_world(m, world, f, domain):
-    """(context, code, roots, world index) for the sentence f at a world,
-    with the context closed as far as f's program needs."""
+def _at_world(m, world, f, domain, walk):
+    """(value, witness) of the sentence f at a world: its three-valued truth
+    and, if walk, forall_witness's sentence.  A quantified sentence's
+    context is closed only as far as they need."""
     code, roots = _program(m, f)
-    ctx = _context(m, domain, code)
     if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
-    return ctx, code, roots, m.worlds.index(world)
+    ctx, w = _context(m, domain), m.worlds.index(world)
+    if not code[6]:  # every binder has a slot: no quantifier, no witness
+        return _truth_at(ctx, w, *ctx.kernel.run(code, roots)[:2]), None
+    return _quantifier_witness(ctx, code, roots[0], w, walk)
 
 
 def evaluate(m, world, f, domain=KXA):
     """Three-valued truth of the sentence f at a world."""
-    ctx, code, roots, w = _at_world(m, world, f, domain)
-    return _truth_at(ctx, w, *ctx.kernel.run(code, roots)[:2])
+    return _at_world(m, world, f, domain, False)[0]
 
 
 def evaluate_with_witness(m, world, f, domain=KXA):
     """(evaluate's value, forall_witness's sentence) for f at a world, from
-    one kernel run."""
-    ctx, code, roots, w = _at_world(m, world, f, domain)
-    if not code[6]:  # every binder has a slot: no quantifier, no witness
-        return _truth_at(ctx, w, *ctx.kernel.run(code, roots)[:2]), None
-    return _quantifier_witness(ctx, code, roots[0], w)
+    one witness search."""
+    return _at_world(m, world, f, domain, True)
 
 
 def satisfying_worlds(m, f, domain=KXA):
@@ -378,8 +387,7 @@ def forall_witness(m, world, f, domain=KXA):
     `forall x phi` the instance making phi fail, also when the quantifier is
     buried under negation, conjunction or a refuted K/X.  None when no
     quantifier is responsible."""
-    ctx, code, roots, w = _at_world(m, world, f, domain)
-    return _quantifier_witness(ctx, code, roots[0], w)[1] if code[6] else None
+    return _at_world(m, world, f, domain, True)[1]
 
 
 def _truth_at(ctx, w, vocab, truth):
@@ -388,42 +396,101 @@ def _truth_at(ctx, w, vocab, truth):
     return Truth.TRUE if (truth >> w) & 1 else Truth.FALSE
 
 
-def _quantifier_witness(ctx, code, root, w):
-    """(root's value at world w, its witness or None): the witness search
-    from node root of the program code at w.  One run over the program's
-    closed nodes gives their values and, per quantifier among them and per
-    world where it is False, its first falsifying profile; then a
-    depth-first walk from root down the nodes outside every quantifier, into
-    a negation's body and into the False parts of a False conjunction or
-    K/X, at each successor in turn."""
+class _Undecided(Exception):
+    """A value that the profiles closed so far leave open."""
+
+
+def _quantifier_witness(ctx, code, root, w, walk=True):
+    """(root's value at world w, if walk its witness, else None): the
+    witness search from node root of the program code at w.  One run over
+    the program's closed nodes gives their values and, per quantifier among
+    them and per world where it is False, its first falsifying profile; then
+    a depth-first walk from root down the nodes outside every quantifier,
+    into a negation's body and into the False parts of a False conjunction
+    or K/X, at each successor in turn.
+
+    Unless a quantifier lies in another's body, the context is closed one
+    BFS layer at a time, and the search ends at the first layer that
+    decides the root's value and every test of the walk.  Over a prefix of
+    the closure each closed node has a lower and an upper truth mask: a
+    quantifier's upper mask is its value over the prefix, exact where the
+    prefix falsifies it, with the whole closure's first falsifier, and its
+    lower one is empty until the closure is complete; a negation swaps the
+    two, and the other steps map each."""
     op, a1, a2, aux, _, used, _ = code
     n = ctx.kernel.n_worlds
     closed = array("i", [i for i, u in enumerate(used) if not u])
-    falsifiers = array("q", bytes(8 * n * len(op)))
-    out = ctx.kernel.run(code, closed, falsifiers)
-    values = dict(zip(closed, zip(out[::3], out[1::3])))
-    verdict = _truth_at(ctx, w, *values[root])
-    stack = [(root, w)]
-    while stack:
-        i, w = stack.pop()
-        value = _truth_at(ctx, w, *values[i])
-        if op[i] == P_NOT and value is not Truth.UNDEFINED:
-            stack.append((a1[i], w))
-            continue
-        if value is not Truth.FALSE:
-            continue
-        if op[i] == P_FORALL:
-            return verdict, ctx.witness_formula(falsifiers[i * n + w])
-        if op[i] == P_AND:
-            nexts = [(a1[i], w), (a2[i], w)]
-        elif op[i] in (P_K, P_X):
-            succ = ctx.kernel.succ[aux[i]][w]
-            nexts = [(a1[i], u) for u in range(n) if succ >> u & 1]
-        else:
-            continue
-        stack += [(j, u) for j, u in reversed(nexts)
-                  if _truth_at(ctx, u, *values[j]) is Truth.FALSE]
-    return verdict, None
+    under = set()  # the nodes in some quantifier's body
+    for i in reversed(range(len(op))):
+        if i in under or op[i] == P_FORALL:
+            under.update(j for j in (a1[i], a2[i]) if j >= 0)
+    depth = -1 if any(op[i] == P_FORALL for i in under) else 0
+
+    def at(i, u):
+        v, lo, hi = values[i]
+        if not (ctx.dom(v) >> u) & 1:
+            return Truth.UNDEFINED
+        if (lo >> u) & 1:
+            return Truth.TRUE
+        if not (hi >> u) & 1:
+            return Truth.FALSE
+        raise _Undecided
+
+    while True:
+        ctx.close(_CLASSES, depth)
+        depth = ctx.depth + 1
+        falsifiers = array("q", bytes(8 * n * len(op))) if walk else None
+        values = _bounds(ctx, code, closed,
+                         ctx.kernel.run(code, closed, falsifiers))
+        try:
+            verdict = at(root, w)
+            stack = [(root, w)] if walk else []
+            while stack:
+                i, u = stack.pop()
+                value = at(i, u)
+                if op[i] == P_NOT and value is not Truth.UNDEFINED:
+                    stack.append((a1[i], u))
+                    continue
+                if value is not Truth.FALSE:
+                    continue
+                if op[i] == P_FORALL:
+                    return verdict, ctx.witness_formula(falsifiers[i * n + u])
+                if op[i] == P_AND:
+                    nexts = [(a1[i], u), (a2[i], u)]
+                elif op[i] in (P_K, P_X):
+                    succ = ctx.kernel.succ[aux[i]][u]
+                    nexts = [(a1[i], s) for s in range(n) if succ >> s & 1]
+                else:
+                    continue
+                stack += [(j, s) for j, s in reversed(nexts)
+                          if at(j, s) is Truth.FALSE]
+            return verdict, None
+        except _Undecided:
+            pass
+
+
+def _bounds(ctx, code, closed, out):
+    """{node: (vocab, lower truth mask, upper truth mask)} for the closed
+    nodes of a program, from a run's output over them on ctx's profiles so
+    far: equal masks once the closure is complete."""
+    op, a1, a2, aux = code[:4]
+    values = {}
+    for i, v, t in zip(closed, out[::3], out[1::3]):
+        if ctx.complete or op[i] in (P_PROP, P_TOP):
+            values[i] = v, t, t
+        elif op[i] == P_FORALL:
+            values[i] = v, 0, t
+        elif op[i] == P_AND:
+            (_, lo, hi), (_, lo2, hi2) = values[a1[i]], values[a2[i]]
+            values[i] = v, lo & lo2, hi & hi2
+        elif op[i] == P_NOT:
+            _, lo, hi = values[a1[i]]
+            values[i] = v, ctx.dom(v) & ~hi, ctx.dom(v) & ~lo
+        else:  # K, A and X are monotone in the truth of their argument
+            _, lo, hi = values[a1[i]]
+            values[i] = (v, *(ctx.kernel.step(op[i], aux[i], (v, mask))[1]
+                              for mask in (lo, hi)))
+    return values
 
 
 # --- quantifier-free sentence enumeration and the brute-force oracle --------
@@ -585,9 +652,9 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
         raise ValueError(f"body must have exactly {var!r} free, has "
                          f"{sorted(body.fvars)}")
     _program(m, Forall(var, body))
-    ctx = _context(m, domain, full=True)
     if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
+    ctx = _context(m, domain, full=True)
     lang = m.lang[world]
     widx = m.worlds.index(world)
     nested = not is_quantifier_free(body)

@@ -6,7 +6,9 @@ gen, enum or sweep cannot use, a malformed model or proof script, a formula
 that does not parse or is nested too deeply to handle, or a profile closure
 past its size limit or out of memory, 3 = Undefined.  Only `profiles` and
 the evaluation of a quantified sentence close the profiles, so only they
-can fail on the closure.
+can fail on the closure; `eval` closes them one layer at a time, so a
+verdict that the layers before the limit decide is answered, and one that
+needs the whole closure exits 2.
 """
 
 import functools

@@ -2,12 +2,13 @@
 _kernel.c, behind NativeKernel, the native twin of _kernel_py.Kernel: one
 object per structure that takes the model encoding (n_worlds,
 prop_world_masks, prop_true, succ, aware) once, closes its profiles, in full
-or over vocabulary classes, and runs programs over them, all the roots of a
-program in one call, with the first falsifying profile of each closed
-quantifier when asked (see _kernel_py).  The checker closes only when a
-program with quantifier slots is to run, over classes, or a caller reads
-the profiles themselves, in full; run() refuses such a program before any
-closure, since the domain would be empty.
+or over vocabulary classes, to the fixpoint or through a BFS layer, resuming
+where it stopped, and runs programs over them, all the roots of a program in
+one call, with the first falsifying profile of each closed quantifier when
+asked (see _kernel_py).  The checker closes only when a program with
+quantifier slots is to run, over classes, or a caller reads the profiles
+themselves, in full; run() refuses such a program before any closure, since
+the domain would be empty.
 
 On first import _kernel.c is compiled with `cc -O2 -shared -fPIC` into the
 package's __pycache__/, under a name keyed by a hash of the source, and
@@ -37,7 +38,10 @@ class _Records(ctypes.Structure):  # the closure's output, as in _kernel.c
         (name, _MASKS if name in ("vocab", "truth") else ctypes.POINTER(_INT))
         for name in ("vocab", "truth", "op", "a1", "a2", "aux", "layer",
                      "key")] + \
-        [("table", _PTR), ("mask", _INT), ("failed", _INT)]
+        [("table", _PTR), ("mask", _INT)] + [
+            (name, _INT) for name in ("failed", "frontier", "layer_closed",
+                                      "done", "classes")] + \
+        [("all", _INT), ("sets", _PTR), ("memo", _PTR), ("n_sets", _INT)]
 
     def __del__(self):
         _lib.ak_free(self)
@@ -99,7 +103,7 @@ def _load():
                 os.remove(old)
     lib = ctypes.CDLL(path)
     records, model = ctypes.POINTER(_Records), ctypes.POINTER(_Model)
-    lib.ak_close.argtypes = [model, _INT, _INT, _INT, records]
+    lib.ak_close.argtypes = [model, _INT, _INT, _INT, _INT, records]
     lib.ak_free.argtypes, lib.ak_free.restype = [records], None
     lib.ak_close.restype = lib.ak_run.restype = ctypes.c_int
     lib.ak_run.argtypes = [model] + [_PTR] * 4 + [_INT] * 2 + [_PTR, _INT,
@@ -118,8 +122,9 @@ class NativeKernel(_kernel_py.Kernel):
     at construction; close() points its profile columns at the closure's
     output, which run() then reads in place, for all of a program's roots in
     one call.  The output stays in C: the records and the layers are copied
-    out once, when first read, and it is freed once, when the kernel closes
-    again or is collected.  A run keeps no state in the kernel."""
+    out once per close(), when first read, since a resumed closure may move
+    its columns, and it is freed once, when the kernel starts another
+    closure or is collected.  A run keeps no state in the kernel."""
 
     def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
         super().__init__(n_worlds, prop_world_masks, prop_true, succ, aware)
@@ -128,23 +133,27 @@ class NativeKernel(_kernel_py.Kernel):
                         for rows in (succ, aware)))
         self._model = _Model(n_worlds, len(prop_true), len(succ), 0,
                              *map(_addr, self._bufs))
-        self._records = None  # the last closure's, kept in C
+        self._out = None  # the closure's, kept in C
 
-    def close(self, ops, max_profiles, classes=0):
-        out = _Records()
-        rc = _lib.ak_close(self._model, ops, max_profiles, classes, out)
+    def close(self, ops, max_profiles, classes=0, depth=-1):
+        if self._closing != (ops, classes):
+            self._closing, self._out = (ops, classes), _Records()
+        out = self._out
+        rc = _lib.ak_close(self._model, ops, max_profiles, classes, depth,
+                           out)
+        model = self._model  # the columns may have moved
+        model.n_profiles = out.count
+        model.prof_v, model.prof_f = out.vocab, out.truth
+        self.done = bool(out.done)
         if rc:
             raise MemoryError("profile closure") if rc < 0 else RuntimeError(
                 f"profile closure exceeded {max_profiles} profiles")
-        model = self._model
-        model.n_profiles = out.count
-        model.prof_v, model.prof_f = out.vocab, out.truth
-        self._records = _Copied(out, "vocab", "truth", "op", "a1", "a2", "aux")
-        return self._records, _Copied(out, "layer")
+        return (_Copied(out, "vocab", "truth", "op", "a1", "a2", "aux"),
+                _Copied(out, "layer"))
 
     def run(self, program, roots, falsifiers=None):
         op, a1, a2, aux, _, _, nslots = program
-        if nslots and self._records is None:
+        if nslots and self._out is None:
             raise RuntimeError("quantified program on an unclosed kernel")
         if falsifiers is not None and (falsifiers.typecode != "q" or len(
                 falsifiers) < len(op) * self.n_worlds):

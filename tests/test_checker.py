@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import random
@@ -18,7 +19,8 @@ from awarecheck.fuzz import random_open_formula, random_sentence
 from awarecheck.model import (AwarenessStructure, enumerate_models,
                               generate_random)
 from awarecheck.syntax import (A, And, AStar, Exists, Forall, K, Not, Prop,
-                               Var, X, parse, pretty, subst_var, vocabulary)
+                               Var, X, _children, parse, pretty, subst_var,
+                               vocabulary)
 
 from test_model import barcan_model, unc_model
 
@@ -416,9 +418,11 @@ def test_memoization_consistency():
 
 
 def test_only_quantified_programs_close(monkeypatch, capsys):
-    # a quantifier-free query reads no profile and closes nothing; a
-    # quantified one closes once per (structure, domain), over vocabulary
-    # classes, and a caller of the profiles themselves once more, in full
+    # a quantifier-free query reads no profile and closes nothing; quantified
+    # ones close one closure per (structure, domain), over vocabulary
+    # classes, resumed a layer at a time by the world queries and to the
+    # fixpoint by the rest, and a caller of the profiles themselves closes
+    # once more, in full
     from awarecheck import checker
     from awarecheck.cli import main
     calls = []
@@ -437,6 +441,12 @@ def test_only_quantified_programs_close(monkeypatch, capsys):
         weak_counterexample(m, f, domain)
         Corpus([f]).false_masks(m, domain)
 
+    def resumed(steps):
+        # one class closure, each call going on where the last stopped
+        depths = [depth for classes, depth in steps if classes == 1]
+        return len(depths) == len(steps) and depths[:-1] == list(
+            range(len(depths) - 1)) and depths[-1] in (-1, len(depths) - 1)
+
     for domain in (KXA, XA):
         ask("K1 p & !A2 (p & q) | X1 true", domain)
     assert main(["eval", "fixtures/M_barcan.json", "s", "X1 p"]) == 0
@@ -444,15 +454,136 @@ def test_only_quantified_programs_close(monkeypatch, capsys):
     for domain in (KXA, XA):
         ask("forall #x . K1 (#x | !#x) & !A2 p", domain)
         ask("!(forall #y . X2 #y)", domain)
-    assert calls == [(KXA, 1), (XA, 1)]
+    for domain in (KXA, XA):
+        assert resumed([c[1:] for c in calls if c[0] == domain])
+        assert _context(m, domain).complete
+    n = len(calls)
     realizable_profiles(m)
     stabilization_depth(m)
     ask("forall #x . A1 #x", KXA)
-    assert calls == [(KXA, 1), (XA, 1), (KXA, 0)]
+    assert calls[n:] == [(KXA, 0, -1)]
     assert main(["eval", "fixtures/M_barcan.json", "s",
                  "forall #x . X1 A1 #x"]) == 0
-    assert len(calls) == 4 and calls[-1][1] == 1
+    assert resumed([c[1:] for c in calls[n + 1:]])
     capsys.readouterr()
+
+
+LAYERED = [
+    "forall #x . #x",
+    "!(forall #x . (#x | K1 #x))",
+    "forall #x . (K1 #x -> K2 #x)",
+    "K1 (forall #x . (A2 #x -> #x)) | X2 !forall #y . (p & #y)",
+    "!K2 (forall #x . (#x -> X1 #x)) & q",
+    "forall #x . forall #y . (#x | K1 #y)",
+    "forall #x . (#x & !forall #y . (K2 #y -> #x))",
+    "(forall #x . (K1 #x -> K2 #x)) & !(forall #y . (q | #y))",
+]
+
+
+def _depth(f):
+    return max((1 + _depth(g) for g in _children(f)), default=0)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_layered_world_queries_match_closed_ones(monkeypatch, pure):
+    # world queries that close the profiles a layer at a time answer as over
+    # the whole closure: on a structure queried cold each time, on one whose
+    # context they resume, and on one that satisfying_worlds closed first;
+    # the sentences stop early, fail with witnesses up to layer 2 and more,
+    # are Undefined at some worlds and nest quantifiers
+    from awarecheck import checker
+    from awarecheck._kernel_py import Kernel
+    if pure:
+        monkeypatch.setattr(checker, "NativeKernel", Kernel)
+    queries = (evaluate, forall_witness, evaluate_with_witness)
+    rng = random.Random(31)
+    early, deep, undefined = set(), set(), 0
+    for seed in (0, 1, 5) if pure or checker.BACKEND != "c" else range(12):
+        m = generate_random(2, 3 + seed % 4, ["p", "q", "r"][:2 + seed % 2],
+                            seed=seed)
+        fs = [parse(text, 2) for text in LAYERED] + [
+            random_sentence(rng, m.props, 2, max_depth=4, quantifier_prob=0.4)
+            for _ in range(4)]
+        for domain in (KXA, XA, QuantifierDomain(include_top=True)):
+            shared, closed = copy.copy(m), copy.copy(m)
+            for f in fs:
+                satisfying_worlds(closed, f, domain)
+                for w in m.worlds:
+                    want = [q(closed, w, f, domain) for q in queries]
+                    for q, answer in zip(queries, want):
+                        m._ctx_cache.clear()
+                        assert q(m, w, f, domain) == answer, (q, f, w)
+                        if not _context(m, domain).complete:
+                            early.add(q)
+                    assert [q(shared, w, f, domain) for q in queries] == want
+                    undefined += want[0] is U
+                    if want[1] is not None and _depth(want[1]) >= 2:
+                        deep.add(f)
+    assert early == set(queries) and undefined
+    assert parse(LAYERED[2], 2) in deep
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_seed_falsifier_closes_only_the_seeds(monkeypatch, pure):
+    # p is in w0's language and false there, so `forall #x . #x` is False
+    # at w0 with witness p before the first layer: of a class closure of
+    # more than 500 records, the context holds only the seeds
+    from awarecheck import checker
+    from awarecheck._kernel_py import Kernel
+    if pure:
+        monkeypatch.setattr(checker, "NativeKernel", Kernel)
+    m = generate_random(2, 8, ["p", "q", "r", "s"], seed=7)
+    f = parse("forall #x . #x", 2)
+    assert evaluate_with_witness(m, "w0", f) == (F, Prop("p"))
+    ctx = _context(m, KXA)
+    assert len(ctx.records) == len(m.props) and not ctx.complete
+    satisfying_worlds(m, f)
+    assert len(ctx.records) > 500 and ctx.complete
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_profile_cap_stops_only_queries_that_reach_it(monkeypatch, pure,
+                                                       tmp_path, capsys):
+    # under a cap of 50 profiles, a world query that the seeds decide
+    # answers, and one that needs the whole closure of 720 class records
+    # raises, through the API and as exit 2 from `eval`
+    from awarecheck import checker
+    from awarecheck._kernel_py import Kernel
+    from awarecheck.cli import main
+    from awarecheck.model import save_model
+    if pure:
+        monkeypatch.setattr(checker, "NativeKernel", Kernel)
+    monkeypatch.setattr(checker, "close_profiles", lambda kernel, domain,
+                        classes, depth=-1: kernel.close(domain.opcodes, 50,
+                                                        classes, depth))
+    m = generate_random(2, 8, ["p", "q", "r", "s"], seed=7)
+    false, true = "forall #x . #x", "forall #x . (#x | !#x)"
+    assert evaluate_with_witness(m, "w0", parse(false, 2)) == (F, Prop("p"))
+    with pytest.raises(RuntimeError, match="exceeded 50 profiles"):
+        evaluate(m, "w0", parse(true, 2))
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    assert [main(["eval", path, "w0", text]) for text in (false, true)] == \
+        [1, 2]
+    assert "exceeded 50 profiles" in capsys.readouterr().err
+
+
+def test_unknown_world_closes_nothing(monkeypatch):
+    # a query at a world the structure lacks raises before any closure
+    from awarecheck import checker
+    calls = []
+    real = checker.close_profiles
+    monkeypatch.setattr(checker, "close_profiles", lambda *args:
+                        calls.append(args) or real(*args))
+    m = generate_random(2, 4, ["p", "q"], frozenset(), seed=3)
+    f = parse("forall #x . #x", 2)
+    for query in (evaluate, forall_witness, evaluate_with_witness):
+        with pytest.raises(ValueError, match="unknown world"):
+            query(m, "nope", f)
+    with pytest.raises(ValueError, match="unknown world"):
+        brute_force_forall(m, "nope", Var("x"), "x", 1)
+    assert calls == []
+    assert evaluate(m, "w0", f) is F and calls
 
 
 @pytest.mark.parametrize("pure", [False, True])

@@ -142,6 +142,47 @@ def test_class_closure_is_the_quotient():
     assert merged > 50
 
 
+@pytest.mark.parametrize("classes", [0, 1])
+def test_resumed_closure_is_the_one_shot_closure(classes):
+    # a closure resumed one BFS layer at a time holds, after each step, the
+    # one-shot closure's records through that layer, in its order and with
+    # its layers, and runs over them as over the same prefix on the other
+    # backend, falsifiers included; at the fixpoint it is the one-shot
+    # closure, and a further resume changes nothing
+    backends = [Kernel] + [kernel.NativeKernel] * (kernel.BACKEND == "c")
+    rng = random.Random(16)
+    for seed in range(16):
+        m = generate_random(1 + seed % 3, 3 + seed % 5,
+                            ["p", "q", "r", "s"][:2 + seed % 3], seed=seed)
+        code, roots = _compile_program(
+            [Forall("x", random_open_formula(rng, m.props, m.agents, "x",
+                                             max_depth=3))
+             for _ in range(4)], {p: j for j, p in enumerate(m.props)},
+            m.agents)
+        for domain in (KXA, XA, QuantifierDomain(include_top=True)):
+            inputs = _kernel_inputs(m, domain)
+            steps = []
+            for cls in backends:
+                whole = tuple(map(list, cls(*inputs).close(
+                    domain.opcodes, 4_000_000, classes)))
+                k, depth, got = cls(*inputs), 0, []
+                while not k.done:
+                    records, layers = map(list, k.close(
+                        domain.opcodes, 4_000_000, classes, depth))
+                    through = sum(layer <= depth for layer in whole[1])
+                    assert (records, layers) == (whole[0][:through],
+                                                 whole[1][:through])
+                    falsifiers = array("q", [-1]) * (len(code[0]) * k.n_worlds)
+                    got.append((records, k.run(code, roots, falsifiers),
+                                falsifiers))
+                    depth += 1
+                assert depth == max(whole[1]) + 2
+                assert tuple(map(list, k.close(domain.opcodes, 4_000_000,
+                                               classes))) == whole
+                steps.append(got)
+            assert steps[1:] in ([], steps[:1])
+
+
 @needs_c
 def test_backends_agree_past_former_limits():
     # sizes the old compiled kernel refused: more than 1024 profiles, more
@@ -237,20 +278,22 @@ def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_closure_copied_when_read_and_freed_once(monkeypatch):
-    # a class closure, then the profiles themselves (a full re-close), then
-    # the witness search give the same answers, bit for bit, on native and
-    # pure contexts; each native closure's _Records is released exactly
-    # once: when its kernel closes again, and when the kernel is collected.
-    # A closure freed late, or twice, fails the test, also from a __del__
+    # a class closure, resumed layer by layer, then the profiles themselves
+    # (a full re-close), then the witness search give the same answers, bit
+    # for bit, on native and pure contexts; each native closure's _Records,
+    # however often resumed, is released exactly once: when its kernel
+    # starts another closure, and when the kernel is collected.  A closure
+    # freed late, or twice, fails the test, also from a __del__
     closed, freed = [], []
     if kernel.BACKEND == "c":
         lib = kernel._lib
         real_close, real_free = lib.ak_close, lib.ak_free
 
-        def ak_close(model, ops, cap, classes, out):
-            out.serial = len(closed)
-            closed.append(out.serial)
-            return real_close(model, ops, cap, classes, out)
+        def ak_close(model, ops, cap, classes, depth, out):
+            if not hasattr(out, "serial"):  # a new closure, not a resume
+                out.serial = len(closed)
+                closed.append(out.serial)
+            return real_close(model, ops, cap, classes, depth, out)
 
         def ak_free(out):
             if hasattr(out, "serial"):  # not a closure of an earlier test
