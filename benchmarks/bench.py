@@ -6,6 +6,7 @@ counts with the durations of its slowest tests (c2, c3, c4 and c9), the
 kernel backend and why it was chosen, and the machine it ran on.
 
 Run:  python3 benchmarks/bench.py LABEL [--base REV --pairs N]
+                                        [--workloads sweep query]
 
 perfbench runs in a child process per workload, from this checkout's src/,
 and so does Tier-1, once, writing its per-test durations to a temporary
@@ -18,8 +19,13 @@ perfbench/run.py and src/, the base first in even pairs and second in odd
 ones, so that neither side always runs after the other.  Per workload and
 end-to-end metric it records each side's median and quartiles, the median
 of the per-pair ratios head / base and in how many pairs the head did
-better, in BENCHMARK.json's direction; and per side the share of failed
-operations.  One unpaired run says little on a machine shared with others.
+better, in BENCHMARK.json's direction; per side the share of failed
+operations; and per side the wall time and the CPU time of the runs' child
+processes (getrusage(RUSAGE_CHILDREN) before and after each run), whose
+ratio shows how much of the machine a run got: other tenants' load enters
+wall time directly and CPU time less.  --workloads limits the perfbench
+runs, paired or not, to the workloads named.  One unpaired run says little
+on a machine shared with others.
 To record another checkout whose structures have encoding(), copy this file
 and bench_kernel.py into its benchmarks/ and run it there.
 """
@@ -30,6 +36,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,13 +60,22 @@ SLOW_TESTS = {"c2": "test_c2_uncertainty_formula",
 
 def perfbench(workload, root=ROOT):
     """The last line of the output of perfbench/run.py of the checkout at
-    root, parsed."""
+    root, parsed, with the run's wall time and the CPU time of its child
+    processes, in seconds, under "wall_s" and "cpu_s"."""
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), \
+        time.perf_counter()
     done = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(SEEDS[workload]),
          "--seconds", str(SECONDS)],
         cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = json.loads(done.stdout.splitlines()[-1])
+    result["wall_s"] = round(wall, 3)
+    result["cpu_s"] = round(after.ru_utime + after.ru_stime
+                            - before.ru_utime - before.ru_stime, 3)
+    return result
 
 
 def _spread(values):
@@ -67,14 +83,14 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def pairs(base, n):
+def pairs(base, n, workloads):
     """The `pairs` section: n alternating pairs of perfbench runs per
     workload, of the checkout of base and of this one."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     commit = subprocess.run(["git", "rev-parse", base], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
-    runs = {workload: {"base": [], "head": []} for workload in SEEDS}
+    runs = {workload: {"base": [], "head": []} for workload in workloads}
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
                                  capture_output=True, check=True).stdout
@@ -106,6 +122,9 @@ def pairs(base, n):
                 **{side: _spread(v) for side, v in values.items()}}
         out["workloads"][workload] = {
             "seed": SEEDS[workload], "seconds": SECONDS, "metrics": metrics,
+            **{key: {side: _spread([r[key] for r in sides])
+                     for side, sides in got.items()}
+               for key in ("wall_s", "cpu_s")},
             "failed_share": {
                 side: sum(r["failed"] for r in sides) / sum(
                     r["attempted"] for r in sides)
@@ -156,6 +175,9 @@ def main(argv=None):
     ap.add_argument("--base", help="a revision to run paired against")
     ap.add_argument("--pairs", type=int, default=10,
                     help="pairs of perfbench runs per workload (10)")
+    ap.add_argument("--workloads", nargs="+", choices=sorted(SEEDS),
+                    default=sorted(SEEDS), help="perfbench workloads to run "
+                    "(all)")
     args = ap.parse_args(argv)
     label = args.label
     if args.base is not None and args.pairs < 2:
@@ -170,15 +192,15 @@ def main(argv=None):
         "backend": kernel.BACKEND,
         "backend_reason": kernel.BACKEND_REASON.replace(ROOT + os.sep, ""),
         "machine": machine(),
-        "perfbench": {name: {"seed": seed, "seconds": SECONDS,
+        "perfbench": {name: {"seed": SEEDS[name], "seconds": SECONDS,
                              "result": perfbench(name)}
-                      for name, seed in SEEDS.items()},
+                      for name in args.workloads},
         "bench_kernel": {name: {"value": value, "unit": unit}
                          for name, (value, unit) in numbers.items()},
         "tier1": tier1(),
     }
     if args.base is not None:
-        out["pairs"] = pairs(args.base, args.pairs)
+        out["pairs"] = pairs(args.base, args.pairs, args.workloads)
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)

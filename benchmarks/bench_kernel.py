@@ -6,9 +6,11 @@ profile closure, and the two interpreters running the same formula programs;
 then one closure of a 12-world, 6-proposition random structure (5404
 profiles) on each backend, in full and over vocabulary classes, and the
 same two closures, on the native backend only when it is built, of 48
-seeded random structures with 2-3 agents, 6-8 worlds and 3-4 propositions;
-then the c4 sweep's instance corpus (about 60 sentences) on one rte
-structure, as one program per sentence run one by one against one program
+seeded random structures with 2-3 agents, 6-8 worlds and 3-4 propositions,
+the structures perfbench's `query` writes to its model files; then the time
+load_model takes per file on those 48 files, written by save_model; then
+the c4 sweep's instance corpus (about 60 sentences) on one rte structure,
+as one program per sentence run one by one against one program
 with a root per sentence run once; last, on each backend, a cold witness
 search as `awarecheck eval` makes it: on each of the 48 structures, three
 sentences `forall #x . body` as perfbench's `query` draws them, each at a
@@ -28,14 +30,17 @@ Run:  python3 benchmarks/bench_kernel.py [--seconds 2]
 """
 
 import argparse
+import os
 import random
+import tempfile
 import time
 
 from awarecheck import checker, kernel
 from awarecheck._kernel_py import Kernel
 from awarecheck.checker import KXA, _compile_program, _program
 from awarecheck.fuzz import random_open_formula, random_sentence
-from awarecheck.model import count_models, enumerate_models, generate_random
+from awarecheck.model import (count_models, enumerate_models, generate_random,
+                              load_model, save_model)
 from awarecheck.proofs import parse_system, schema_instances
 from awarecheck.syntax import Forall, parse
 
@@ -140,6 +145,16 @@ def main(argv=None):
               f"{n:6} profiles in {took:.3f} s")
         results[f"medium.{name}.{mode}"] = (took, "s")
         results[f"medium.{name}.{mode}.profiles"] = (n, "count")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"model{k:02d}.json")
+                 for k in range(len(medium_models))]
+        for m, path in zip(medium_models, paths):
+            save_model(m, path)
+        took = 1e6 / (timed(lambda: [load_model(path) for path in paths],
+                            args.seconds) * len(paths))
+    print(f"load     {took:8.1f} us per model file ({len(paths)} files)")
+    results["load"] = (took, "us")
 
     # c4's corpus: AXe_KXAAstarforall+T45star, 4 instances per schema of
     # depth 3, seed 43

@@ -20,9 +20,9 @@ from .checker import (KXA, XA, QuantifierDomain, Truth, evaluate,
                       evaluate_with_witness, realizable_profiles,
                       stabilization_depth, weak_counterexample)
 from .fuzz import random_qf_sentence, random_sentence
-from .model import (InvalidStructure, enumerate_models, count_models,
-                    generate_random, load_model, model_to_dict,
-                    parse_model_class, swap_model, validate)
+from .model import (enumerate_models, count_models, generate_random,
+                    load_model, model_to_dict, parse_model_class, swap_model,
+                    validate)
 from .proofs import (check_proof, parse_system, proof_script_from_dict,
                      soundness_sweep)
 from .syntax import (APrime, AStar, ParseError, free_vars, parse, pretty,
@@ -46,7 +46,8 @@ def _emit(args, payload, human):
 def _load(path):
     try:
         return load_model(path)
-    except (OSError, json.JSONDecodeError, InvalidStructure) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or no valid structure
         raise SystemExit(_fail(f"cannot load model {path}: {exc}"))
 
 

@@ -1,9 +1,9 @@
 """Extended awareness structures: finite Kripke models in which every world
 carries its own sublanguage, plus per-agent awareness vocabularies.
 
-Includes structural validation, JSON (de)serialization, seeded random
-generation, exhaustive enumeration at desk scale, and the two
-truth-preserving transformations (injective renaming, label swap).
+Includes validation (one check, on masks), JSON (de)serialization from and
+to masks, seeded random generation, exhaustive enumeration at desk scale,
+and the two truth-preserving transformations (renaming, label swap).
 """
 
 import json
@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, reduce
 from itertools import product
-from operator import and_
+from operator import and_, or_
 
 __all__ = [
     "AwarenessStructure", "InvalidStructure", "PropertyReport",
@@ -42,15 +42,15 @@ class AwarenessStructure:
     A structure is stored as its kernels' model encoding (see encoding()):
     per proposition the mask of the worlds whose language has it and of those
     where it is true, per agent a successor mask and an awareness mask per
-    world.  The constructor copies, freezes and validates its arguments and
-    encodes them once.  The set views lang, val, rel and aware keep their
-    types: lang and val dicts from world to frozenset, rel a dict from agent
-    to a frozenset of (world, world) tuples, aware a dict from agent to a
-    dict from world to frozenset; by generation from primitive propositions,
-    the awareness vocabulary A_i(s) determines the full sentence set the
-    agent is aware of.  A structure that the generators, rename_props or
-    evaluate_hr build from masks holds only its encoding until a set view is
-    first read, and then decodes them all.
+    world.  The constructor freezes its arguments and maps them to masks,
+    which _encode checks, as it checks the loader's.  The set views lang,
+    val, rel and aware keep their types: lang and val dicts from world to
+    frozenset, rel a dict from agent to a frozenset of (world, world)
+    tuples, aware a dict from agent to a dict from world to frozenset; by
+    generation from primitive propositions, the awareness vocabulary A_i(s)
+    determines the full sentence set the agent is aware of.  A structure
+    that the loader, the generators, rename_props or evaluate_hr build from
+    masks holds only its encoding until a set view is first read.
     """
 
     __slots__ = ("agents", "props", "worlds", "lang", "val", "rel", "aware",
@@ -67,22 +67,24 @@ class AwarenessStructure:
                     for i in range(1, self.agents + 1)}
         self.aware = {i: {w: frozenset(aware[i][w]) for w in self.worlds}
                       for i in range(1, self.agents + 1)}
-        self._check()
-        worlds, agents = self.worlds, range(1, self.agents + 1)
-        widx = {w: j for j, w in enumerate(worlds)}
         bit = {p: 1 << j for j, p in enumerate(self.props)}
-        succ = [[0] * len(worlds) for _ in agents]
-        for i in agents:
-            for s, t in self.rel[i]:
-                succ[i - 1][widx[s]] |= 1 << widx[t]
-        self._encoding = (
-            len(worlds),
-            *[tuple([sum([1 << j for j, w in enumerate(worlds)
-                          if p in sets[w]]) for p in self.props])
-              for sets in (self.lang, self.val)],
-            tuple(map(tuple, succ)),
-            tuple([tuple([sum(map(bit.__getitem__, self.aware[i][w]))
-                          for w in worlds]) for i in agents]))
+        widx = {w: j for j, w in enumerate(self.worlds)}
+        succ, strays = [[0] * len(self.worlds) for _ in self.rel], set()
+        for i, pairs in self.rel.items():
+            for s, t in pairs:
+                if s in widx and t in widx:
+                    succ[i - 1][widx[s]] |= 1 << widx[t]
+                else:
+                    strays.add(i)
+
+        def masks(sets):  # an unknown proposition sets bit len(props)
+            return [reduce(or_, [bit.get(p, 1 << len(self.props))
+                                 for p in sets[w]], 0) for w in self.worlds]
+
+        self._encoding = _encode(
+            self.agents, self.props, self.worlds, masks(self.lang),
+            masks(self.val), succ, [masks(a) for a in self.aware.values()],
+            strays)
 
     @staticmethod
     def _of(agents, props, worlds, encoding):
@@ -97,50 +99,10 @@ class AwarenessStructure:
         return AwarenessStructure._of, (self.agents, self.props, self.worlds,
                                         self._encoding)
 
-    def _check(self):
-        if self.agents < 1 or not self.worlds:
-            raise InvalidStructure("need at least one "
-                                   + ("agent" if self.agents < 1 else "world"))
-        if len(set(self.worlds)) != len(self.worlds):
-            raise InvalidStructure("duplicate world ids")
-        if len(set(self.props)) != len(self.props):
-            raise InvalidStructure("duplicate proposition ids")
-        props = set(self.props)
-        worlds = set(self.worlds)
-        for w in self.worlds:
-            if not self.lang[w]:
-                raise InvalidStructure(f"empty language at world {w!r}")
-            if not self.lang[w] <= props:
-                raise InvalidStructure(f"language at {w!r} mentions unknown "
-                                       "propositions")
-            if not self.val[w] <= self.lang[w]:
-                raise InvalidStructure(
-                    f"valuation at {w!r} not contained in its language")
-        for i in range(1, self.agents + 1):
-            for (s, t) in sorted(self.rel[i]):
-                if s not in worlds or t not in worlds:
-                    raise InvalidStructure(
-                        f"relation of agent {i} mentions unknown world")
-            for w in self.worlds:
-                if not self.aware[i][w] <= self.lang[w]:
-                    raise InvalidStructure(
-                        f"A_{i}({w!r}) not contained in the language of {w!r}")
-            for (s, t) in sorted(self.rel[i]):
-                if self.aware[i][s] != self.aware[i][t]:
-                    raise InvalidStructure(
-                        f"ka fails for agent {i} on edge ({s!r}, {t!r})")
-                if not self.aware[i][s] <= self.lang[t]:
-                    raise InvalidStructure(
-                        f"A_{i}({s!r}) not contained in the language of the "
-                        f"successor {t!r}")
-
     def encoding(self):
         """The kernels' model encoding (see _kernel_py) as tuples:
         (n_worlds, prop_world_masks, prop_true, succ, aware)."""
         return self._encoding
-
-    def successors(self, agent, world):
-        return [t for (s, t) in sorted(self.rel[agent]) if s == world]
 
     def key(self):
         return self.agents, self.props, self.worlds, self.encoding()
@@ -188,6 +150,47 @@ class _Encoded(AwarenessStructure):
                       for i, rows in enumerate(aware, 1)}
         self.__class__ = AwarenessStructure
         return getattr(self, name)
+
+
+def _encode(agents, props, worlds, langs, vals, succ, aware, strays):
+    """The encoding of a structure given as masks: per world its language
+    and valuation (an unknown proposition sets bit len(props)), per agent
+    and world its successors and awareness, and the agents (strays) whose
+    relation names an unknown world.  InvalidStructure for the first
+    violation: worlds in order, then per agent its relation, each A_i(w)
+    within L(w), and ka on each edge in name order; those make A_i(s) =
+    A_i(t) lie within L(t) on every edge (s, t)."""
+    if agents < 1 or not worlds or len(set(worlds)) < len(worlds) or \
+            len(set(props)) < len(props):
+        raise InvalidStructure(
+            "need at least one agent" if agents < 1 else
+            "need at least one world" if not worlds else "duplicate world ids"
+            if len(set(worlds)) < len(worlds) else "duplicate proposition ids")
+    for w, lang, val in zip(worlds, langs, vals):
+        if not lang:
+            raise InvalidStructure(f"empty language at world {w!r}")
+        if lang >> len(props):
+            raise InvalidStructure(f"language at {w!r} mentions unknown "
+                                   "propositions")
+        if val & ~lang:
+            raise InvalidStructure(
+                f"valuation at {w!r} not contained in its language")
+    for i, rows, vocabs in zip(range(1, agents + 1), succ, aware):
+        if i in strays:
+            raise InvalidStructure(
+                f"relation of agent {i} mentions unknown world")
+        for w, vocab, lang in zip(worlds, vocabs, langs):
+            if vocab & ~lang:
+                raise InvalidStructure(
+                    f"A_{i}({w!r}) not contained in the language of {w!r}")
+        bad = [(worlds[s], worlds[t]) for s, row in enumerate(rows)
+               for t in _bits(row) if vocabs[t] != vocabs[s]]
+        if bad:
+            raise InvalidStructure("ka fails for agent %d on edge (%r, %r)"
+                                   % (i, *min(bad)))
+    return (len(worlds), _transpose(langs, len(props)),
+            _transpose(vals, len(props)), tuple(map(tuple, succ)),
+            tuple(map(tuple, aware)))
 
 
 @dataclass
@@ -337,8 +340,11 @@ def _bits(mask):
 
 def _transpose(masks, n):
     """Per bit j < n, the mask of the indices of the masks that have it."""
-    return tuple(sum(1 << w for w, mask in enumerate(masks) if mask >> j & 1)
-                 for j in range(n))
+    out = [0] * n
+    for w, mask in enumerate(masks):
+        for j in _bits(mask):
+            out[j] |= 1 << w
+    return tuple(out)
 
 
 def _close(succ, model_class):
@@ -556,71 +562,84 @@ def enumerate_models(agents, max_worlds, props, model_class=frozenset(),
 # --- JSON ------------------------------------------------------------------
 
 def model_to_dict(m):
-    def ordered(s):
-        return [p for p in m.props if p in s]
-
-    widx = {w: j for j, w in enumerate(m.worlds)}
-    return {
-        "agents": m.agents,
-        "props": list(m.props),
-        "worlds": [
-            {
-                "id": w,
-                "lang": ordered(m.lang[w]),
-                "true": ordered(m.val[w]),
-                "aware": {str(i): ordered(m.aware[i][w])
-                          for i in range(1, m.agents + 1)},
-            }
-            for w in m.worlds
-        ],
-        "relations": {
-            str(i): sorted([list(p) for p in m.rel[i]],
-                           key=lambda p: (widx[p[0]], widx[p[1]]))
-            for i in range(1, m.agents + 1)
-        },
-    }
+    """m as a JSON object, written from its encoding: names in props order,
+    relation pairs in world order."""
+    _, pwm, ptrue, succ, aware = m.encoding()
+    props, worlds = m.props, m.worlds
+    return {"agents": m.agents, "props": list(props), "worlds": [
+        {"id": w,
+         "lang": [p for p, mask in zip(props, pwm) if mask >> j & 1],
+         "true": [p for p, mask in zip(props, ptrue) if mask >> j & 1],
+         "aware": {str(i): list(map(props.__getitem__, _bits(rows[j])))
+                   for i, rows in enumerate(aware, 1)}}
+        for j, w in enumerate(worlds)], "relations": {
+        str(i): [[s, worlds[t]] for s, row in zip(worlds, rows)
+                 for t in _bits(row)] for i, rows in enumerate(succ, 1)}}
 
 
 def model_from_dict(d):
-    """The structure a JSON object describes; InvalidStructure for any
-    malformed shape, as for any violated constraint."""
-    def names(x, pair=False):
-        if not isinstance(x, list) or (pair and len(x) != 2) or \
-                not all(isinstance(n, str) for n in x):
-            raise TypeError(f"expected {'a pair' if pair else 'a list'} of "
-                            f"names, got {x!r}")
-        return x
-
-    def table(x):
-        if not isinstance(x, dict):
-            raise TypeError(f"expected an object, got {x!r}")
-        return x
-
+    """The structure a JSON object describes, mapped in one pass to its
+    encoding and checked there as the constructor's is, with set views
+    decoded on first read; InvalidStructure for a malformed shape too."""
     try:
-        agents = d["agents"]
+        agents, props = d["agents"], d["props"]
         if type(agents) is not int:  # bool is an int, 1.9 would truncate
             raise TypeError(f"expected an integer agent count, got "
                             f"{agents!r}")
-        props = [str(p) for p in names(d["props"])]
+        if not isinstance(props, list) or \
+                not all(isinstance(p, str) for p in props):
+            raise TypeError(f"expected a list of names, got {props!r}")
+        bit = {p: 1 << j for j, p in enumerate(props)}
+        unknown = 1 << len(props)
+
+        def mask(names):  # an unknown name sets bit len(props)
+            if not isinstance(names, list):
+                raise TypeError(f"expected a list of names, got {names!r}")
+            got = 0
+            for p in names:
+                if not isinstance(p, str):
+                    raise TypeError(f"expected a list of names, got {names!r}")
+                got |= bit.get(p, unknown)
+            return got
+
         entries = d["worlds"]
-        worlds = [str(e["id"]) for e in entries]
-        lang = {str(e["id"]): names(e["lang"]) for e in entries}
-        val = {str(e["id"]): names(e["true"]) for e in entries}
-        aware = {i: {str(e["id"]): names(table(e.get("aware", {}))
-                                         .get(str(i), []))
-                     for e in entries}
-                 for i in range(1, agents + 1)}
-        relations = table(d.get("relations", {}))
-        rel = {i: [tuple(names(p, True)) for p in relations.get(str(i), [])]
-               for i in range(1, agents + 1)}
+        worlds = [e["id"] for e in entries]
+        if not all(isinstance(w, str) for w in worlds):
+            raise TypeError(f"expected names as world ids, got {worlds!r}")
+        langs = [mask(e["lang"]) for e in entries]
+        vals = [mask(e["true"]) for e in entries]
+        tables = [e.get("aware", {}) for e in entries] if agents > 0 else []
+        relations = d.get("relations", {})
+        for table in (relations, *tables):
+            if not isinstance(table, dict):
+                raise TypeError(f"expected an object, got {table!r}")
+        aware = [[mask(table.get(key, [])) for table in tables]
+                 for key in map(str, range(1, agents + 1))]
+        wbit = {w: 1 << j for j, w in enumerate(worlds)}
+        succ, strays = [], set()
+        for i in range(1, agents + 1):
+            rows = dict.fromkeys(worlds, 0)
+            for pair in relations.get(str(i), []):
+                try:
+                    s, t = pair if type(pair) is list else ()
+                    rows[s] |= wbit[t]
+                except (KeyError, TypeError, ValueError):  # no known pair
+                    if type(pair) is not list or len(pair) != 2 or \
+                            not all(isinstance(w, str) for w in pair):
+                        raise TypeError(f"expected a pair of names, got "
+                                        f"{pair!r}") from None
+                    strays.add(i)
+            succ.append(list(rows.values()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidStructure(f"malformed model JSON: {exc}") from exc
-    return AwarenessStructure(agents, props, worlds, lang, val, rel, aware)
+    props, worlds = tuple(props), tuple(worlds)
+    return AwarenessStructure._of(agents, props, worlds, _encode(
+        agents, props, worlds, langs, vals, succ, aware, strays))
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    with open(path, "rb", buffering=0) as fh:
+        return model_from_dict(json.loads(fh.read().decode("utf-8")))
 
 
 def save_model(m, path):

@@ -69,6 +69,18 @@ def test_malformed_model_is_an_error(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error:"), k
 
 
+def test_unreadable_model_file_is_a_load_error(tmp_path, capsys):
+    # JSON nested too deeply to decode, and a file that is not UTF-8, are
+    # load failures like a missing file, never a formula error
+    deep, latin = tmp_path / "deep.json", tmp_path / "latin.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    latin.write_bytes('{"agents": 1, "props": ["\u00e9"]}'.encode("latin-1"))
+    for path in (deep, latin, tmp_path / "missing.json"):
+        code, out, err = run(capsys, "eval", str(path), "s", "p")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot load model {path}: "), err
+
+
 def test_closure_limits_are_errors(capsys, monkeypatch):
     # past its size limit or out of memory the closure raises; that is
     # exit 2, never 1 ("False"); only a quantified sentence or `profiles`

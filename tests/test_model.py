@@ -10,13 +10,13 @@ import sys
 import pytest
 
 import awarecheck
-from awarecheck.checker import evaluate, evaluate_hr
+from awarecheck.checker import evaluate, evaluate_hr, evaluate_with_witness
 from awarecheck.fuzz import random_sentence
-from awarecheck.model import (AwarenessStructure, InvalidStructure,
+from awarecheck.model import (AwarenessStructure, InvalidStructure, _Encoded,
                               count_models, enumerate_models,
                               generate_random, load_model, model_from_dict,
                               model_to_dict, parse_model_class, rename_props,
-                              swap_model, validate)
+                              save_model, swap_model, validate)
 from awarecheck.syntax import map_props, parse, swap_props
 
 
@@ -211,11 +211,13 @@ def test_attached_encoding_is_the_derived_one():
                  for nonempty in (False, True))
     n = 0
     for m in itertools.chain(*streams, generated):
-        assert not _held_views(m)
         encoding = m.encoding()
+        # JSON is written from the encoding and loaded straight into one
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+        assert not _held_views(m) and type(loaded) is _Encoded
+        assert loaded == m and loaded.encoding() == encoding
         rebuilt = _rebuilt(m)
         assert rebuilt == m and rebuilt.encoding() == encoding
-        assert model_from_dict(model_to_dict(m)) == m
         n += 1
     assert n > 1000
     # the generators check their arguments alike; no agents is an error
@@ -337,19 +339,86 @@ def test_json_fixture_files():
     assert mu.lang["t2"] == {"p", "q"}
 
 
+def _from_sets(d):
+    """The checked constructor on the sets a model JSON object names."""
+    ids, n = [e["id"] for e in d["worlds"]], d["agents"]
+    return AwarenessStructure(
+        n, d["props"], ids,
+        {e["id"]: e["lang"] for e in d["worlds"]},
+        {e["id"]: e["true"] for e in d["worlds"]},
+        {i: d["relations"].get(str(i), []) for i in range(1, n + 1)},
+        {i: {e["id"]: e["aware"].get(str(i), []) for e in d["worlds"]}
+         for i in range(1, n + 1)})
+
+
+def _violated():
+    # model order u, t, s: the reverse of name order; t and s share
+    # A_1 = {p}, u has A_1 = {}
+    return {"agents": 1, "props": ["p", "q"],
+            "worlds": [{"id": "u", "lang": ["q"], "true": ["q"],
+                        "aware": {"1": []}},
+                       {"id": "t", "lang": ["p", "q"], "true": ["q"],
+                        "aware": {"1": ["p"]}},
+                       {"id": "s", "lang": ["p"], "true": [],
+                        "aware": {"1": ["p"]}}],
+            "relations": {"1": [["s", "t"], ["t", "s"], ["u", "u"]]}}
+
+
+# Each constraint broken once, on _violated(): the message names the first
+# violation, worlds in model order, then per agent its relation, awareness
+# within each world's language, and ka on each edge in name order
+VIOLATIONS = [
+    (lambda d: d["worlds"][1].update(lang=[]), "empty language at world 't'"),
+    (lambda d: d["worlds"][1]["lang"].append("z"),
+     "language at 't' mentions unknown propositions"),
+    (lambda d: d["worlds"][1]["true"].append("z"),
+     "valuation at 't' not contained in its language"),
+    (lambda d: d["worlds"][2].update(true=["q"]),
+     "valuation at 's' not contained in its language"),
+    (lambda d: d["worlds"][0]["aware"]["1"].append("z"),
+     "A_1('u') not contained in the language of 'u'"),
+    (lambda d: d["worlds"][2]["aware"].update({"1": ["q"]}),
+     "A_1('s') not contained in the language of 's'"),
+    (lambda d: d["relations"]["1"].append(["t", "nowhere"]),
+     "relation of agent 1 mentions unknown world"),
+    (lambda d: d["relations"]["1"].append(["nowhere", "s"]),
+     "relation of agent 1 mentions unknown world"),
+    (lambda d: d["relations"]["1"].append(["u", "s"]),
+     "ka fails for agent 1 on edge ('u', 's')"),
+    (lambda d: d["worlds"].append(dict(d["worlds"][0])),
+     "duplicate world ids"),
+    (lambda d: d["props"].append("p"), "duplicate proposition ids"),
+    (lambda d: d.update(agents=0), "need at least one agent"),
+    (lambda d: d.update(worlds=[]), "need at least one world"),
+    # two at once: the first in the order above is reported
+    (lambda d: (d["worlds"][2].update(lang=[]),
+                d["worlds"][0].update(true=["p"])),
+     "valuation at 'u' not contained in its language"),
+    (lambda d: (d["relations"]["1"].append(["u", "s"]),
+                d["worlds"][2].update(lang=[])),
+     "empty language at world 's'"),
+    (lambda d: (d["relations"]["1"].append(["u", "t"]),
+                d["relations"]["1"].append(["t", "u"])),
+     "ka fails for agent 1 on edge ('t', 'u')"),
+    (lambda d: (d["relations"]["1"].append(["u", "s"]),
+                d["worlds"][0]["aware"]["1"].append("z")),
+     "A_1('u') not contained in the language of 'u'"),
+    (lambda d: (d["relations"]["1"].append(["u", "nowhere"]),
+                d["worlds"][2]["aware"].update({"1": ["q"]})),
+     "relation of agent 1 mentions unknown world"),
+]
+
+
 def test_loader_reports_first_violation():
-    d = model_to_dict(unc_model())
-    d["worlds"][0]["lang"] = []
-    with pytest.raises(InvalidStructure, match="empty language"):
-        model_from_dict(d)
-    d2 = model_to_dict(unc_model())
-    d2["worlds"][0]["true"] = ["q"]
-    with pytest.raises(InvalidStructure, match="valuation"):
-        model_from_dict(d2)
-    d3 = model_to_dict(unc_model())
-    d3["relations"]["1"].append(["s", "nowhere"])
-    with pytest.raises(InvalidStructure, match="unknown world"):
-        model_from_dict(d3)
+    # the loader and the constructor run one check, with the same messages
+    assert model_from_dict(_violated()) == _from_sets(_violated())
+    for spoil, message in VIOLATIONS:
+        d = _violated()
+        spoil(d)
+        for build in (model_from_dict, _from_sets):
+            with pytest.raises(InvalidStructure) as info:
+                build(d)
+            assert str(info.value) == message, build
     # shape errors are reported the same way, never as another exception
     spoilers = [
         lambda d: d["worlds"][0].update(aware=["p"]),
@@ -362,6 +431,16 @@ def test_loader_reports_first_violation():
         lambda d: d["relations"]["1"].append(["s", "t1", "t2"]),
         lambda d: d["worlds"].append(["s"]),
         lambda d: d.pop("props"),
+        # every name is a string: world ids too, and no name is unhashable
+        lambda d: d["worlds"][0].update(id=["s"]),
+        lambda d: d["worlds"][0].update(id=None),
+        lambda d: d["worlds"][0]["lang"].append(["p"]),
+        lambda d: d["worlds"][0]["true"].append({"p": 1}),
+        lambda d: d["worlds"][0]["aware"]["1"].append(["p"]),
+        lambda d: d["relations"]["1"].append([["s"], "t1"]),
+        lambda d: d["relations"]["1"].append(["s", 5]),
+        lambda d: d["relations"]["1"].append("st"),
+        lambda d: d["props"].append(["r"]),
     ]
     for spoil in spoilers:
         d = model_to_dict(unc_model())
@@ -370,6 +449,16 @@ def test_loader_reports_first_violation():
             model_from_dict(d)
     with pytest.raises(InvalidStructure, match="malformed"):
         model_from_dict(5)
+
+
+def test_a_loaded_structure_stays_undecoded(tmp_path):
+    # a cold query, as `awarecheck eval` makes it, reads no set view
+    path = tmp_path / "m.json"
+    save_model(generate_random(2, 5, ("p", "q", "r"), seed=4), path)
+    for text in ("K1 p | !A2 q", "forall #x . (#x -> K1 #x)"):
+        m = load_model(path)
+        evaluate_with_witness(m, m.worlds[0], parse(text, 2))
+        assert type(m) is _Encoded and not _held_views(m)
 
 
 def test_parse_model_class():
