@@ -3,7 +3,10 @@ repository root, with perfbench's result line for the `sweep` and `query`
 workloads at fixed seeds and the benchmark's own run length, bench_kernel.py's
 numbers at a fixed time budget, the Tier-1 suite's wall time and outcome
 counts with the durations of its slowest tests (c2, c3, c4 and c9), the
-kernel backend and why it was chosen, and the machine it ran on.
+kernel backend and why it was chosen, the machine it ran on, and
+`src_lines`: per file of src/awarecheck/ and in total, the lines that hold
+code, neither blank nor only comment nor docstring (found with ast and
+tokenize in *.py; _kernel.c is counted with its comments stripped).
 
 Run:  python3 benchmarks/bench.py LABEL [--base REV --pairs N]
                                         [--workloads sweep query]
@@ -23,19 +26,21 @@ better, in BENCHMARK.json's direction; per side the share of failed
 operations; and per side the wall time and the CPU time of the runs' child
 processes (getrusage(RUSAGE_CHILDREN) before and after each run), whose
 ratio shows how much of the machine a run got: other tenants' load enters
-wall time directly and CPU time less.  --workloads limits the perfbench
-runs, paired or not, to the workloads named.  One unpaired run says little
-on a machine shared with others.
+wall time directly and CPU time less; and the base's src_lines.
+--workloads limits the perfbench runs, paired or not, to the workloads
+named.  One unpaired run says little on a machine shared with others.
 To record another checkout whose structures have encoding(), copy this file
 and bench_kernel.py into its benchmarks/ and run it there.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -43,6 +48,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from xml.etree import ElementTree
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -78,6 +84,50 @@ def perfbench(workload, root=ROOT):
     return result
 
 
+def _code_lines(path):
+    """The numbers of the lines of a Python file that hold a token other
+    than a comment, outside the docstrings of its module, classes and
+    functions."""
+    with open(path, "rb") as fh:
+        source = fh.read()
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and body and \
+                isinstance(body[0], ast.Expr) and \
+                isinstance(body[0].value, ast.Constant) and \
+                isinstance(body[0].value.value, str):
+            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                            tokenize.INDENT, tokenize.DEDENT,
+                            tokenize.ENCODING, tokenize.ENDMARKER):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return lines - docs
+
+
+def src_lines(root=ROOT):
+    """{file of src/awarecheck/: lines of code, "total": their sum}: a *.py
+    file's lines that hold code, outside docstrings, and _kernel.c's lines
+    that are not blank once its comments are stripped."""
+    pkg = os.path.join(root, "src", "awarecheck")
+    out = {}
+    for name in sorted(os.listdir(pkg)):
+        path = os.path.join(pkg, name)
+        if name.endswith(".py"):
+            out[name] = len(_code_lines(path))
+        elif name.endswith(".c"):
+            with open(path, encoding="utf-8") as fh:
+                text = re.sub(r"/\*.*?\*/|//[^\n]*",
+                              lambda c: "\n" * c[0].count("\n"), fh.read(),
+                              flags=re.S)
+            out[name] = sum(bool(line.strip()) for line in text.splitlines())
+    out["total"] = sum(out.values())
+    return out
+
+
 def _spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -107,8 +157,10 @@ def pairs(base, n, workloads):
             for workload, got in runs.items():
                 for side in order:
                     got[side].append(perfbench(workload, roots[side]))
+        base_lines = src_lines(tmp)
     out = {"base": base, "base_commit": commit, "n": n,
-           "order": "base first in even pairs", "workloads": {}}
+           "order": "base first in even pairs", "base_src_lines": base_lines,
+           "workloads": {}}
     for workload, got in runs.items():
         metrics = {}
         for name, direction in better.items():
@@ -198,6 +250,7 @@ def main(argv=None):
         "bench_kernel": {name: {"value": value, "unit": unit}
                          for name, (value, unit) in numbers.items()},
         "tier1": tier1(),
+        "src_lines": src_lines(),
     }
     if args.base is not None:
         out["pairs"] = pairs(args.base, args.pairs, args.workloads)

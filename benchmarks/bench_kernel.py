@@ -15,7 +15,7 @@ with a root per sentence run once; last, on each backend, a cold witness
 search as `awarecheck eval` makes it: on each of the 48 structures, three
 sentences `forall #x . body` as perfbench's `query` draws them, each at a
 random world, with forall_witness timed right after evaluate() on a fresh
-context; and on each backend cold evaluate_with_witness calls, as `awarecheck
+kernel; and on each backend cold evaluate_with_witness calls, as `awarecheck
 eval` makes them, at w0 of the one of the 48 structures with 832 class
 records: for `forall #x . #x`, False with a seed as witness, so its closure
 stops at layer 0, and for `forall #x . (#x | !#x)`, True, so it closes all
@@ -195,7 +195,7 @@ def main(argv=None):
                 for m in medium_models for _ in range(3)]
     for name, cls in CLASSES:
         native = checker.NativeKernel
-        checker.NativeKernel = cls  # the class every new context takes
+        checker.NativeKernel = cls  # the class every new kernel takes
         took, n, stop = 0.0, 0, time.perf_counter() + args.seconds
         try:
             while time.perf_counter() < stop:

@@ -27,9 +27,10 @@ A closure record is a program node with its profile in front, so the records
 up to k form a program whose node k is profile k's witness.
 
 The closure goes by BFS layer (the seeds are layer 0) and may stop after any
-layer and resume later; the records through a layer are a prefix of the
-whole closure's, so the checker can answer a query at one world from the
-layers that decide it.
+layer and resume later; a kernel's layer is the last one closed (-1 before
+any).  The records through a layer are a prefix of the whole closure's, so
+the checker can answer a query at one world from the layers that decide
+it.
 
 The closure runs in one of two modes.  Keyed by (vocab, truth) it is full:
 every profile, as realizable_profiles and the stabilization depth need.
@@ -37,8 +38,9 @@ Keyed by (vocab_class(vocab), truth) it keeps one record per vocabulary
 class and truth map, with the vocabulary and node first found for it.
 Every step reads a vocabulary only through dom() and the awareness test,
 which see no difference within a class, so the interpreter gives the same
-verdicts over either; the checker uses the class closure for evaluation and
-closes nothing for a program without quantifier slots.  A kernel that was
+verdicts over either; the checker uses the class closure for evaluation,
+closes nothing for a program without quantifier slots, and closes in full
+only a kernel of its own, for the readers of the profiles.  A kernel that was
 never closed refuses to load such a program.
 
 These are the reference kernels: _kernel.c implements both natively, bit for
@@ -73,6 +75,7 @@ class Kernel:
         self.profiles = None  # until close()
         self._closing = None  # (ops, classes) of the closure
         self.done = False  # whether the closure reached its fixpoint
+        self.layer = -1  # the last BFS layer closed
         self.dom_cache = {0: (1 << n_worlds) - 1}
         self.class_cache = {}
         self.program = None
@@ -133,11 +136,12 @@ class Kernel:
         (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), by BFS layer, through
         layer depth, or to its least fixpoint when depth is negative; its
         profiles become the quantifier's domain.  A later call with the same
-        ops and classes resumes where the last one stopped, and done says
-        whether the fixpoint is reached.  Returns (records, layers) where
-        records[i] = (vocab_mask, truth_mask, op, arg1, arg2, aux) and
-        layers[i] is the minimal witness depth (seeds are 0).  (op, arg1,
-        arg2, aux) is a program node over earlier records.
+        ops and classes resumes where the last one stopped; layer is the
+        last BFS layer closed, and done says whether the fixpoint is
+        reached.  Returns (records, layers), which the kernel keeps under
+        those names, where records[i] = (vocab_mask, truth_mask, op, arg1,
+        arg2, aux) and layers[i] is the minimal witness depth (seeds are
+        0).  (op, arg1, arg2, aux) is a program node over earlier records.
 
         Records are keyed by (vocab, truth), or with classes set by
         (vocab_class(vocab), truth), each keeping the vocabulary and node it
@@ -149,7 +153,7 @@ class Kernel:
             self._closing = ops, classes
             self.records, self.layers, self.profiles = [], [], []
             self._keys, self._index = [], set()
-            self._frontier = self._layer = 0
+            self._frontier = self.layer = 0
             self.done = False
         records, keys, layers, index = self.records, self._keys, \
             self.layers, self._index
@@ -176,9 +180,9 @@ class Kernel:
         unary += [(P_A, ai) for ai in agents]
         unary = [(code, ai) for code, ai in unary if (ops >> code) & 1]
         while not self.done and len(records) <= max_profiles and (
-                depth < 0 or self._layer < depth):
+                depth < 0 or self.layer < depth):
             frontier, known = self._frontier, len(records)
-            self._layer = layer = self._layer + 1
+            self.layer = layer = self.layer + 1
             for i in range(frontier, known):
                 x, key = records[i][:2], keys[i]
                 for code, ai in unary:  # each keeps the vocabulary

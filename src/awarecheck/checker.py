@@ -6,10 +6,13 @@ K_i phi counting an Undefined successor as a failure.  The propositional
 quantifier ranges over an infinite set of quantifier-free sentences; it is
 decided by quotienting that set to realizable truth profiles (see kernel),
 and, for evaluation, further to one profile per vocabulary class and truth
-map.  A structure's profiles are closed only when a quantified sentence or
-a reader of the profiles needs them (see _context), and for a query at one
-world only as far as it needs: one BFS layer at a time, up to the first
-layer that decides its value and witness (see _quantifier_witness).
+map.  So a structure has a kernel per domain for evaluation, closed over
+classes, and another for the readers of the profiles, closed in full; no
+closure replaces another.  A kernel is closed only when a quantified
+sentence or a reader of the profiles needs it (see _context), and for a
+query at one world only as far as it needs: one BFS layer at a time, up to
+the first layer that decides its value and witness (see
+_quantifier_witness).
 
 Every sentence is compiled once per proposition order into a formula
 program, the one IR that both interpreters run and the witness search walks
@@ -42,8 +45,6 @@ __all__ = [
     "OracleBudgetExceeded", "Corpus",
 ]
 
-# the closure's modes (see _kernel_py.Kernel.close)
-_FULL, _CLASSES = 0, 1
 _OPCODES = {"not": P_NOT, "and": P_AND, "K": P_K, "A": P_A, "X": P_X}
 _ALLOWED_OPS = frozenset(_OPCODES)
 _MODAL = {P_K: K, P_A: A, P_X: X}
@@ -107,69 +108,6 @@ class OracleBudgetExceeded(RuntimeError):
     pass
 
 
-class _Context:
-    """Per-(structure, domain) evaluation state: one kernel over the
-    structure's encoding and, once close() has run, the closed profiles and
-    the closure's records and layers (copied out of C only when read).
-    classes is None before the closure, else its mode, _CLASSES or _FULL;
-    depth is the last BFS layer closed and complete says whether that
-    reached the fixpoint."""
-
-    def __init__(self, m, domain):
-        self.domain = domain
-        self.worlds = m.worlds
-        self.props = m.props
-        # the one backend choice: native when built and the masks fit
-        native = BACKEND == "c" and len(m.worlds) <= MASK_BITS >= len(m.props)
-        self.kernel = (NativeKernel if native else _kernel_py.Kernel)(
-            *m.encoding())
-        self.classes = self.records = self.layers = self.stab_depth = None
-        self.depth, self.complete = -1, False
-        self.dom = self.kernel.dom
-
-    def close(self, classes, depth=-1):
-        """Closes the profiles in the mode classes, _CLASSES or _FULL,
-        through BFS layer depth, or to the fixpoint when depth is -1, unless
-        they are closed that far at least that finely; a closure stopped at
-        a layer resumes there.  A full closure replaces a class closure, and
-        with it the witnesses, which are keyed by record index."""
-        if self.classes is None or classes < self.classes:
-            self.classes, self.depth, self.complete = classes, -1, False
-            self._witnesses = {}
-        if not self.complete and not 0 <= depth <= self.depth:
-            self.records, self.layers = close_profiles(
-                self.kernel, self.domain, classes, depth)
-            self.depth, self.complete = depth, self.kernel.done
-            self.stab_depth = max(self.layers, default=0) \
-                if classes == _FULL else None  # its readers close in full
-
-    def local_stab_depth(self, w):
-        """Max witness layer among profiles whose vocabulary fits the
-        world's language."""
-        depth = 0
-        for (vocab, *_), layer in zip(self.records, self.layers):
-            if (self.dom(vocab) >> w) & 1 and layer > depth:
-                depth = layer
-        return depth
-
-    def witness_formula(self, idx):
-        got = self._witnesses.get(idx)
-        if got is None:
-            op, a1, a2, aux = self.records[idx][2:]
-            if op == P_PROP:
-                got = Prop(self.props[aux])
-            elif op == P_TOP:
-                got = TOP
-            elif op == P_NOT:
-                got = Not(self.witness_formula(a1))
-            elif op == P_AND:
-                got = And(self.witness_formula(a1), self.witness_formula(a2))
-            else:
-                got = _MODAL[op](aux + 1, self.witness_formula(a1))
-            self._witnesses[idx] = got
-        return got
-
-
 def close_profiles(kernel, domain, classes, depth=-1):
     """(records, layers) of the domain's profile closure on a kernel, in the
     mode classes, through BFS layer depth or to the fixpoint; the kernel's
@@ -177,21 +115,48 @@ def close_profiles(kernel, domain, classes, depth=-1):
     return kernel.close(domain.opcodes, 4_000_000, classes, depth)
 
 
-def _context(m, domain, code=None, full=False):
-    """m's context under the domain, closed as far as its caller needs: in
-    full for a caller that reads the profiles themselves (full), over
-    vocabulary classes before a program with quantifier slots (code) runs,
-    which gives the same verdicts, and not at all otherwise; a query at one
-    world closes it further itself."""
+def _context(m, domain, full=False, depth=None):
+    """m's kernel under the domain, closed as far as its caller needs; there
+    is one kernel per (structure, domain, mode).  Evaluation's is closed
+    over vocabulary classes, which gives the same verdicts, through BFS
+    layer depth, to the fixpoint for -1, not at all for None.  A caller
+    that reads the profiles themselves (full) gets another kernel, closed
+    in full to the fixpoint.  A kernel closes further only when it is not
+    done and has not closed through depth."""
     # opcodes determines the domain, and an int hashes cheaply
-    ctx = m._ctx_cache.get(domain.opcodes)
-    if ctx is None:
-        ctx = m._ctx_cache[domain.opcodes] = _Context(m, domain)
+    key = domain.opcodes << 1 | full
+    k = m._ctx_cache.get(key)
+    if k is None:
+        # the one backend choice: native when built and the masks fit
+        native = BACKEND == "c" and len(m.worlds) <= MASK_BITS >= len(m.props)
+        k = m._ctx_cache[key] = (NativeKernel if native else
+                                 _kernel_py.Kernel)(*m.encoding())
     if full:
-        ctx.close(_FULL)
-    elif code is not None and code[6]:
-        ctx.close(_CLASSES)
-    return ctx
+        depth = -1
+    if depth is not None and not k.done and not 0 <= depth <= k.layer:
+        close_profiles(k, domain, not full, depth)
+    return k
+
+
+def _witness(records, props, idx, memo):
+    """The witness sentence of record idx of a closure over the proposition
+    order props; memo holds the witnesses built so far, by record index."""
+    got = memo.get(idx)
+    if got is None:
+        op, a1, a2, aux = records[idx][2:]
+        if op == P_PROP:
+            got = Prop(props[aux])
+        elif op == P_TOP:
+            got = TOP
+        elif op == P_NOT:
+            got = Not(_witness(records, props, a1, memo))
+        elif op == P_AND:
+            got = And(_witness(records, props, a1, memo),
+                      _witness(records, props, a2, memo))
+        else:
+            got = _MODAL[op](aux + 1, _witness(records, props, a1, memo))
+        memo[idx] = got
+    return got
 
 
 # sentence -> {proposition order: _compile_program result}, weakly keyed
@@ -231,7 +196,8 @@ class Corpus:
         ValueError with the message weak_counterexample gives for the first
         such."""
         code, roots = _compiled_for(m, self._compiled, self.sentences)
-        return _context(m, domain, code).kernel.run(code, roots)[2::3]
+        return _context(m, domain, depth=-1 if code[6] else None).run(
+            code, roots)[2::3]
 
 
 def _first_world(m, mask):
@@ -313,24 +279,25 @@ def _compile_program(sentences, pidx, n_agents):
 
 
 def _sentence_masks(m, f, domain):
-    """Context plus whole-model (vocab, truth, False-world) masks for a
+    """Kernel plus whole-model (vocab, truth, False-world) masks for a
     sentence."""
     code, roots = _program(m, f)
-    ctx = _context(m, domain, code)
-    return (ctx, *ctx.kernel.run(code, roots))
+    k = _context(m, domain, depth=-1 if code[6] else None)
+    return (k, *k.run(code, roots))
 
 
 def _at_world(m, world, f, domain, walk):
     """(value, witness) of the sentence f at a world: its three-valued truth
     and, if walk, forall_witness's sentence.  A quantified sentence's
-    context is closed only as far as they need."""
+    kernel is closed only as far as they need."""
     code, roots = _program(m, f)
     if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
-    ctx, w = _context(m, domain), m.worlds.index(world)
+    w = m.worlds.index(world)
     if not code[6]:  # every binder has a slot: no quantifier, no witness
-        return _truth_at(ctx, w, *ctx.kernel.run(code, roots)[:2]), None
-    return _quantifier_witness(ctx, code, roots[0], w, walk)
+        k = _context(m, domain)
+        return _truth_at(k, w, *k.run(code, roots)[:2]), None
+    return _quantifier_witness(m, domain, code, roots[0], w, walk)
 
 
 def evaluate(m, world, f, domain=KXA):
@@ -346,9 +313,9 @@ def evaluate_with_witness(m, world, f, domain=KXA):
 
 def satisfying_worlds(m, f, domain=KXA):
     """Worlds where the sentence f is True, in model order."""
-    ctx, vocab, truth, _ = _sentence_masks(m, f, domain)
-    mask = ctx.dom(vocab) & truth
-    return [w for j, w in enumerate(ctx.worlds) if (mask >> j) & 1]
+    k, vocab, truth, _ = _sentence_masks(m, f, domain)
+    mask = k.dom(vocab) & truth
+    return [w for j, w in enumerate(m.worlds) if (mask >> j) & 1]
 
 
 def weak_counterexample(m, f, domain=KXA):
@@ -364,21 +331,21 @@ def weakly_valid(m, f, domain=KXA):
 def realizable_profiles(m, domain=KXA):
     """Every (vocabulary, truth map) realized by a sentence of the domain,
     in fixpoint discovery order, each with a minimal-depth witness."""
-    ctx = _context(m, domain, full=True)
-    out = []
-    for idx, (vocab, truth, *_) in enumerate(ctx.records):
-        vset = frozenset(ctx.props[j] for j in range(len(ctx.props))
-                         if (vocab >> j) & 1)
-        d = ctx.dom(vocab)
+    k = _context(m, domain, full=True)
+    out, memo = [], {}
+    for idx, (vocab, truth, *_) in enumerate(k.records):
+        vset = frozenset(p for j, p in enumerate(m.props) if (vocab >> j) & 1)
+        d = k.dom(vocab)
         tmap = {w: bool((truth >> j) & 1)
-                for j, w in enumerate(ctx.worlds) if (d >> j) & 1}
-        out.append(Profile(vset, tmap, ctx.witness_formula(idx)))
+                for j, w in enumerate(m.worlds) if (d >> j) & 1}
+        out.append(Profile(vset, tmap, _witness(k.records, m.props, idx,
+                                                memo)))
     return out
 
 
 def stabilization_depth(m, domain=KXA):
     """Least d such that depth-<=d sentences already realize every profile."""
-    return _context(m, domain, full=True).stab_depth
+    return max(_context(m, domain, full=True).layers, default=0)
 
 
 def forall_witness(m, world, f, domain=KXA):
@@ -390,8 +357,8 @@ def forall_witness(m, world, f, domain=KXA):
     return _at_world(m, world, f, domain, True)[1]
 
 
-def _truth_at(ctx, w, vocab, truth):
-    if not (ctx.dom(vocab) >> w) & 1:
+def _truth_at(k, w, vocab, truth):
+    if not (k.dom(vocab) >> w) & 1:
         return Truth.UNDEFINED
     return Truth.TRUE if (truth >> w) & 1 else Truth.FALSE
 
@@ -400,16 +367,17 @@ class _Undecided(Exception):
     """A value that the profiles closed so far leave open."""
 
 
-def _quantifier_witness(ctx, code, root, w, walk=True):
+def _quantifier_witness(m, domain, code, root, w, walk=True):
     """(root's value at world w, if walk its witness, else None): the
-    witness search from node root of the program code at w.  One run over
-    the program's closed nodes gives their values and, per quantifier among
-    them and per world where it is False, its first falsifying profile; then
-    a depth-first walk from root down the nodes outside every quantifier,
-    into a negation's body and into the False parts of a False conjunction
-    or K/X, at each successor in turn.
+    witness search from node root of the program code at w, on m's
+    evaluation kernel under the domain.  One run over the program's closed
+    nodes gives their values and, per quantifier among them and per world
+    where it is False, its first falsifying profile; then a depth-first
+    walk from root down the nodes outside every quantifier, into a
+    negation's body and into the False parts of a False conjunction or K/X,
+    at each successor in turn.
 
-    Unless a quantifier lies in another's body, the context is closed one
+    Unless a quantifier lies in another's body, the kernel is closed one
     BFS layer at a time, and the search ends at the first layer that
     decides the root's value and every test of the walk.  Over a prefix of
     the closure each closed node has a lower and an upper truth mask: a
@@ -418,7 +386,7 @@ def _quantifier_witness(ctx, code, root, w, walk=True):
     lower one is empty until the closure is complete; a negation swaps the
     two, and the other steps map each."""
     op, a1, a2, aux, _, used, _ = code
-    n = ctx.kernel.n_worlds
+    n = len(m.worlds)
     closed = array("i", [i for i, u in enumerate(used) if not u])
     under = set()  # the nodes in some quantifier's body
     for i in reversed(range(len(op))):
@@ -428,7 +396,7 @@ def _quantifier_witness(ctx, code, root, w, walk=True):
 
     def at(i, u):
         v, lo, hi = values[i]
-        if not (ctx.dom(v) >> u) & 1:
+        if not (k.dom(v) >> u) & 1:
             return Truth.UNDEFINED
         if (lo >> u) & 1:
             return Truth.TRUE
@@ -437,11 +405,10 @@ def _quantifier_witness(ctx, code, root, w, walk=True):
         raise _Undecided
 
     while True:
-        ctx.close(_CLASSES, depth)
-        depth = ctx.depth + 1
+        k = _context(m, domain, depth=depth)
+        depth = k.layer + 1
         falsifiers = array("q", bytes(8 * n * len(op))) if walk else None
-        values = _bounds(ctx, code, closed,
-                         ctx.kernel.run(code, closed, falsifiers))
+        values = _bounds(k, code, closed, k.run(code, closed, falsifiers))
         try:
             verdict = at(root, w)
             stack = [(root, w)] if walk else []
@@ -454,11 +421,12 @@ def _quantifier_witness(ctx, code, root, w, walk=True):
                 if value is not Truth.FALSE:
                     continue
                 if op[i] == P_FORALL:
-                    return verdict, ctx.witness_formula(falsifiers[i * n + u])
+                    return verdict, _witness(k.records, m.props,
+                                             falsifiers[i * n + u], {})
                 if op[i] == P_AND:
                     nexts = [(a1[i], u), (a2[i], u)]
                 elif op[i] in (P_K, P_X):
-                    succ = ctx.kernel.succ[aux[i]][u]
+                    succ = k.succ[aux[i]][u]
                     nexts = [(a1[i], s) for s in range(n) if succ >> s & 1]
                 else:
                     continue
@@ -469,14 +437,14 @@ def _quantifier_witness(ctx, code, root, w, walk=True):
             pass
 
 
-def _bounds(ctx, code, closed, out):
+def _bounds(k, code, closed, out):
     """{node: (vocab, lower truth mask, upper truth mask)} for the closed
-    nodes of a program, from a run's output over them on ctx's profiles so
-    far: equal masks once the closure is complete."""
+    nodes of a program, from a run's output over them on kernel k's
+    profiles so far: equal masks once its closure is done."""
     op, a1, a2, aux = code[:4]
     values = {}
     for i, v, t in zip(closed, out[::3], out[1::3]):
-        if ctx.complete or op[i] in (P_PROP, P_TOP):
+        if k.done or op[i] in (P_PROP, P_TOP):
             values[i] = v, t, t
         elif op[i] == P_FORALL:
             values[i] = v, 0, t
@@ -485,10 +453,10 @@ def _bounds(ctx, code, closed, out):
             values[i] = v, lo & lo2, hi & hi2
         elif op[i] == P_NOT:
             _, lo, hi = values[a1[i]]
-            values[i] = v, ctx.dom(v) & ~hi, ctx.dom(v) & ~lo
+            values[i] = v, k.dom(v) & ~hi, k.dom(v) & ~lo
         else:  # K, A and X are monotone in the truth of their argument
             _, lo, hi = values[a1[i]]
-            values[i] = (v, *(ctx.kernel.step(op[i], aux[i], (v, mask))[1]
+            values[i] = (v, *(k.step(op[i], aux[i], (v, mask))[1]
                               for mask in (lo, hi)))
     return values
 
@@ -654,12 +622,16 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
     _program(m, Forall(var, body))
     if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
-    ctx = _context(m, domain, full=True)
+    k = _context(m, domain, full=True)
     lang = m.lang[world]
     widx = m.worlds.index(world)
     nested = not is_quantifier_free(body)
-    global_cover = ctx.stab_depth <= depth
-    local_cover = global_cover or ctx.local_stab_depth(widx) <= depth
+    # the max witness layer of all profiles, and of those whose vocabulary
+    # fits the world's language
+    global_cover = max(k.layers, default=0) <= depth
+    local_cover = global_cover or max(
+        (layer for (vocab, *_), layer in zip(k.records, k.layers)
+         if (k.dom(vocab) >> widx) & 1), default=0) <= depth
 
     def stab(value):
         if value is Truth.UNDEFINED or global_cover:

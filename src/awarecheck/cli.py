@@ -242,61 +242,62 @@ def cmd_prove(args):
     return 0 if outcome.accepted else 1
 
 
+def _compare(args, command, pairs, names, mismatch, ok):
+    """Evaluates the two sides of each pair, (m, f, m2, g, fields), at every
+    world of m, f in m and g in m2; emits the first world where they differ,
+    with the pair's fields and the two values under names, as the line
+    mismatch formats, and returns 1; else emits the line ok and returns 0."""
+    domain = _domain(args)
+    for m, f, m2, g, fields in pairs:
+        for w in m.worlds:
+            left, right = evaluate(m, w, f, domain), evaluate(m2, w, g, domain)
+            if left is not right:
+                payload = {"command": command, "ok": False, "seed": args.seed,
+                           "world": w, **fields, names[0]: str(left),
+                           names[1]: str(right)}
+                _emit(args, payload, mismatch.format_map(payload))
+                return 1
+    _emit(args, {"command": command, "ok": True, "seed": args.seed,
+                 "formulas": args.formulas}, ok)
+    return 0
+
+
 def cmd_swap_test(args):
     m = _load(args.model)
     if args.p not in m.props or args.p2 not in m.props:
         return _fail("both propositions must occur in the model")
-    domain = _domain(args)
     m2 = swap_model(m, args.p, args.p2)
     rng = random.Random(args.seed)
-    for k in range(args.formulas):
-        f = random_sentence(rng, m.props, m.agents, quantifier_prob=0.25)
-        g = swap_props(f, args.p, args.p2)
-        for w in m.worlds:
-            left = evaluate(m, w, f, domain)
-            right = evaluate(m2, w, g, domain)
-            if left is not right:
-                payload = {"command": "swap-test", "ok": False,
-                           "seed": args.seed, "world": w,
-                           "formula": pretty(f), "left": str(left),
-                           "right": str(right)}
-                _emit(args, payload,
-                      f"mismatch at {w}: {pretty(f)} is {left}, swapped "
-                      f"form is {right}")
-                return 1
-    payload = {"command": "swap-test", "ok": True, "seed": args.seed,
-               "formulas": args.formulas}
-    _emit(args, payload, f"ok: {args.formulas} formulas agree at all worlds")
-    return 0
+
+    def pairs():
+        for _ in range(args.formulas):
+            f = random_sentence(rng, m.props, m.agents, quantifier_prob=0.25)
+            yield m, f, m2, swap_props(f, args.p, args.p2), {
+                "formula": pretty(f)}
+
+    return _compare(args, "swap-test", pairs(), ("left", "right"),
+                    "mismatch at {world}: {formula} is {left}, swapped form "
+                    "is {right}",
+                    f"ok: {args.formulas} formulas agree at all worlds")
 
 
 def cmd_equiv_astar_aprime(args):
     m = _load(args.model)
-    domain = _domain(args)
     rng = random.Random(args.seed)
-    for k in range(args.formulas):
-        body = random_qf_sentence(rng, m.props, m.agents, max_depth=2)
-        for i in range(1, m.agents + 1):
-            fa = AStar(i, body)
-            fb = APrime(i, body)
-            for w in m.worlds:
-                left = evaluate(m, w, fa, domain)
-                right = evaluate(m, w, fb, domain)
-                if left is not right:
-                    payload = {"command": "equiv-astar-aprime", "ok": False,
-                               "seed": args.seed, "world": w, "agent": i,
-                               "body": pretty(body), "astar": str(left),
-                               "aprime": str(right)}
-                    _emit(args, payload,
-                          f"differ at {w} for agent {i} on {pretty(body)}: "
-                          f"defined-everywhere reads {left}, "
-                          f"knowledge-based reads {right}")
-                    return 1
-    payload = {"command": "equiv-astar-aprime", "ok": True,
-               "seed": args.seed, "formulas": args.formulas}
-    _emit(args, payload,
-          f"ok: operators agree on {args.formulas} bodies at all worlds")
-    return 0
+
+    def pairs():
+        for _ in range(args.formulas):
+            body = random_qf_sentence(rng, m.props, m.agents, max_depth=2)
+            for i in range(1, m.agents + 1):
+                yield m, AStar(i, body), m, APrime(i, body), {
+                    "agent": i, "body": pretty(body)}
+
+    return _compare(args, "equiv-astar-aprime", pairs(), ("astar", "aprime"),
+                    "differ at {world} for agent {agent} on {body}: "
+                    "defined-everywhere reads {astar}, knowledge-based "
+                    "reads {aprime}",
+                    f"ok: operators agree on {args.formulas} bodies at all "
+                    "worlds")
 
 
 def _add_common(p, domain=True):

@@ -5,10 +5,11 @@ prop_world_masks, prop_true, succ, aware) once, closes its profiles, in full
 or over vocabulary classes, to the fixpoint or through a BFS layer, resuming
 where it stopped, and runs programs over them, all the roots of a program in
 one call, with the first falsifying profile of each closed quantifier when
-asked (see _kernel_py).  The checker closes only when a program with
-quantifier slots is to run, over classes, or a caller reads the profiles
-themselves, in full; run() refuses such a program before any closure, since
-the domain would be empty.
+asked (see _kernel_py).  The checker keeps a kernel per structure, domain
+and mode: one closed over classes once a program with quantifier slots is
+to run, and one closed in full once a caller reads the profiles themselves;
+run() refuses such a program before any closure, since the domain would be
+empty.
 
 On first import _kernel.c is compiled with `cc -O2 -shared -fPIC` into the
 package's __pycache__/, under a name keyed by a hash of the source, and
@@ -121,10 +122,12 @@ class NativeKernel(_kernel_py.Kernel):
     (see checker._compile_program).  The model is marshalled into one _Model
     at construction; close() points its profile columns at the closure's
     output, which run() then reads in place, for all of a program's roots in
-    one call.  The output stays in C: the records and the layers are copied
-    out once per close(), when first read, since a resumed closure may move
-    its columns, and it is freed once, when the kernel starts another
-    closure or is collected.  A run keeps no state in the kernel."""
+    one call.  The output stays in C: close() keeps views of the records
+    and the layers, as the pure kernel keeps its lists, which copy them out
+    once per close(), when first read, since a resumed closure may move its
+    columns; layer reads the last BFS layer closed.  The output is freed
+    once, when the kernel starts another closure or is collected.  A run
+    keeps no state in the kernel."""
 
     def __init__(self, n_worlds, prop_world_masks, prop_true, succ, aware):
         super().__init__(n_worlds, prop_world_masks, prop_true, succ, aware)
@@ -144,12 +147,14 @@ class NativeKernel(_kernel_py.Kernel):
         model = self._model  # the columns may have moved
         model.n_profiles = out.count
         model.prof_v, model.prof_f = out.vocab, out.truth
-        self.done = bool(out.done)
+        self.layer, self.done = out.layer_closed, bool(out.done)
+        self.records, self.layers = _Copied(
+            out, "vocab", "truth", "op", "a1", "a2", "aux"), _Copied(
+                out, "layer")
         if rc:
             raise MemoryError("profile closure") if rc < 0 else RuntimeError(
                 f"profile closure exceeded {max_profiles} profiles")
-        return (_Copied(out, "vocab", "truth", "op", "a1", "a2", "aux"),
-                _Copied(out, "layer"))
+        return self.records, self.layers
 
     def run(self, program, roots, falsifiers=None):
         op, a1, a2, aux, _, _, nslots = program

@@ -610,11 +610,17 @@ def model_from_dict(d):
         vals = [mask(e["true"]) for e in entries]
         tables = [e.get("aware", {}) for e in entries] if agents > 0 else []
         relations = d.get("relations", {})
+        keys = [str(i) for i in range(1, agents + 1)]
+        known = set(keys)
         for table in (relations, *tables):
             if not isinstance(table, dict):
                 raise TypeError(f"expected an object, got {table!r}")
+            # with no agent at all, _encode names that error
+            if not table.keys() <= known and agents > 0:
+                raise ValueError(
+                    f"unknown agent {min(table.keys() - known)!r}")
         aware = [[mask(table.get(key, [])) for table in tables]
-                 for key in map(str, range(1, agents + 1))]
+                 for key in keys]
         wbit = {w: 1 << j for j, w in enumerate(worlds)}
         succ, strays = [], set()
         for i in range(1, agents + 1):

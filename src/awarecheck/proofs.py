@@ -463,6 +463,7 @@ class ProofOutcome:
         return f"rejected at line {self.line}: {self.reason}"
 
 
+# exact types: to isinstance, a JSON true would pass for the int 1
 _JUST_TYPES = {"axiom": str, "rule": str, "from": list, "agent": int,
                "q": str, "x": str}
 
@@ -481,8 +482,7 @@ def proof_script_from_dict(d, n_agents=None):
         just = entry.get("just", {}) if isinstance(entry, dict) else None
         if not isinstance(just, dict) or \
                 not isinstance(entry.get("formula"), str) or \
-                any(just.get(key) is not None and
-                    not isinstance(just[key], kind)
+                any(just.get(key) is not None and type(just[key]) is not kind
                     for key, kind in _JUST_TYPES.items()):
             raise ValueError(f"malformed proof script: line {no} needs a "
                              "formula string and a well-typed justification")
@@ -531,7 +531,7 @@ def check_proof(script, system=None, include_top=False):
                 return ProofOutcome(
                     False, no, f"rule {line.rule} not in {system.name}")
             for ref in line.premises:
-                if not isinstance(ref, int) or not 1 <= ref < no:
+                if type(ref) is not int or not 1 <= ref < no:
                     return ProofOutcome(
                         False, no, f"premise reference {ref} must point to "
                         "an earlier line")

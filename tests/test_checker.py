@@ -409,7 +409,7 @@ def test_oracle_memo_is_kept_per_domain_and_depth():
 
 
 def test_memoization_consistency():
-    # repeated evaluation through the cached context stays stable
+    # repeated evaluation through the cached kernel stays stable
     m = barcan_model()
     f = parse(PSI_UNCERTAIN, 1)
     first = [evaluate(m, w, f) for w in m.worlds]
@@ -456,7 +456,7 @@ def test_only_quantified_programs_close(monkeypatch, capsys):
         ask("!(forall #y . X2 #y)", domain)
     for domain in (KXA, XA):
         assert resumed([c[1:] for c in calls if c[0] == domain])
-        assert _context(m, domain).complete
+        assert _context(m, domain).done
     n = len(calls)
     realizable_profiles(m)
     stabilization_depth(m)
@@ -488,7 +488,7 @@ def _depth(f):
 def test_layered_world_queries_match_closed_ones(monkeypatch, pure):
     # world queries that close the profiles a layer at a time answer as over
     # the whole closure: on a structure queried cold each time, on one whose
-    # context they resume, and on one that satisfying_worlds closed first;
+    # kernel they resume, and on one that satisfying_worlds closed first;
     # the sentences stop early, fail with witnesses up to layer 2 and more,
     # are Undefined at some worlds and nest quantifiers
     from awarecheck import checker
@@ -513,7 +513,7 @@ def test_layered_world_queries_match_closed_ones(monkeypatch, pure):
                     for q, answer in zip(queries, want):
                         m._ctx_cache.clear()
                         assert q(m, w, f, domain) == answer, (q, f, w)
-                        if not _context(m, domain).complete:
+                        if not _context(m, domain).done:
                             early.add(q)
                     assert [q(shared, w, f, domain) for q in queries] == want
                     undefined += want[0] is U
@@ -527,7 +527,7 @@ def test_layered_world_queries_match_closed_ones(monkeypatch, pure):
 def test_seed_falsifier_closes_only_the_seeds(monkeypatch, pure):
     # p is in w0's language and false there, so `forall #x . #x` is False
     # at w0 with witness p before the first layer: of a class closure of
-    # more than 500 records, the context holds only the seeds
+    # more than 500 records, the kernel holds only the seeds
     from awarecheck import checker
     from awarecheck._kernel_py import Kernel
     if pure:
@@ -535,10 +535,10 @@ def test_seed_falsifier_closes_only_the_seeds(monkeypatch, pure):
     m = generate_random(2, 8, ["p", "q", "r", "s"], seed=7)
     f = parse("forall #x . #x", 2)
     assert evaluate_with_witness(m, "w0", f) == (F, Prop("p"))
-    ctx = _context(m, KXA)
-    assert len(ctx.records) == len(m.props) and not ctx.complete
+    k = _context(m, KXA)
+    assert len(k.records) == len(m.props) and not k.done and k.layer == 0
     satisfying_worlds(m, f)
-    assert len(ctx.records) > 500 and ctx.complete
+    assert len(k.records) > 500 and k.done and _context(m, KXA) is k
 
 
 @pytest.mark.parametrize("pure", [False, True])
@@ -587,9 +587,11 @@ def test_unknown_world_closes_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("pure", [False, True])
-def test_full_closure_replaces_class_closure(monkeypatch, pure):
-    # profiles read after quantified queries are those of a fresh structure,
-    # not the class closure's, and the queries answer as before
+def test_profile_readers_leave_evaluation_alone(monkeypatch, pure):
+    # the readers of the profiles close a kernel of their own, in full:
+    # evaluation's kernel stays the same object, holding the class
+    # closure's records, and verdicts and witnesses stay a fresh
+    # structure's
     from awarecheck import checker
     from awarecheck._kernel_py import Kernel
     if pure:
@@ -607,21 +609,40 @@ def test_full_closure_replaces_class_closure(monkeypatch, pure):
     fs = [parse(text, 1) for text in (
         "forall #x . (A1 #x -> K1 #x) & !(forall #y . X1 (#y | p))",
         "forall #x . A1 #x")]
+    body = parse("forall #x . (A1 #x -> K1 #x)", 1).body
     structures = [(twin(), twin())] + [
         tuple(generate_random(1, 6, ["p", "q", "r"], seed=seed)
               for _ in range(2)) for seed in range(6)]
-    replaced = 0
+
+    def answers(m, fs):
+        return [[(evaluate(m, w, f), forall_witness(m, w, f))
+                 for w in m.worlds] for f in fs]
+
+    merged = 0
     for m, fresh in structures:
+        want = answers(fresh, fs)
+        assert answers(m, fs) == want
+        for f in fs:
+            satisfying_worlds(m, f)
+        k = _context(m, KXA)
+        classes = list(k.records)
+        assert k.done and classes == list(Kernel(*m.encoding()).close(
+            KXA.opcodes, 4_000_000, 1)[0])
+        readers = [
+            lambda m: realizable_profiles(m),
+            lambda m: stabilization_depth(m),
+            lambda m: [brute_force_forall(m, w, body, "x", 2)
+                       for w in m.worlds]]
+        for read in readers:
+            assert read(m) == read(fresh)
+            assert _context(m, KXA) is k and list(k.records) == classes
+        full = _context(m, KXA, full=True)
+        assert full is not k and len(full.records) == len(
+            realizable_profiles(m))
+        merged += len(classes) < len(full.records)
         # the last program loaded is the first one asked again
-        before = [[(evaluate(m, w, f), forall_witness(m, w, f))
-                   for w in m.worlds] for f in fs]
-        n_classes = len(_context(m, KXA).records)
-        assert realizable_profiles(m) == realizable_profiles(fresh)
-        replaced += len(_context(m, KXA).records) > n_classes
-        assert stabilization_depth(m) == stabilization_depth(fresh)
-        assert [[(evaluate(m, w, f), forall_witness(m, w, f))
-                 for w in m.worlds] for f in fs[::-1]] == before[::-1]
-    assert replaced >= 4
+        assert answers(m, fs[::-1]) == want[::-1]
+    assert merged >= 4
 
 
 CORPUS = [  # repeated closed subformulas, one body under two binders,
@@ -656,14 +677,14 @@ def test_corpus_program_shares_nodes():
         m = generate_random(1, 2 + seed % 3, ["p", "q"], frozenset(),
                             seed=seed)
         for domain in domains:
-            ctx = _context(m, domain, code)
-            out = ctx.kernel.run(code, roots)
-            witnesses = [[_quantifier_witness(ctx, code, root, w)
+            kernel = _context(m, domain, depth=-1)
+            out = kernel.run(code, roots)
+            witnesses = [[_quantifier_witness(m, domain, code, root, w)
                           for w in range(len(m.worlds))] for root in roots]
             assert corpus.false_masks(m, domain) == out[2::3]
             for k, f in enumerate(sentences):
                 vocab, truth, bad = out[3 * k:3 * k + 3]
-                assert [_truth_at(ctx, w, vocab, truth)
+                assert [_truth_at(kernel, w, vocab, truth)
                         for w in range(len(m.worlds))] == \
                     [evaluate(m, w, f, domain) for w in m.worlds]
                 world = weak_counterexample(m, f, domain)

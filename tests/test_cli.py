@@ -280,17 +280,69 @@ def test_malformed_proof_script_is_an_error(tmp_path, capsys):
     bad = [dict(good, lines=good["lines"] + [line])
            for line in ({"just": {"axiom": "Prop"}}, 5)]
     bad += [dict(good, agents=agents) for agents in (True, 1.9, "1")]
+    # a justification's agent is an int, and true is none
+    bad += [dict(good, lines=[good["lines"][0], dict(
+        good["lines"][1], just=dict(good["lines"][1]["just"], agent=agent))])
+        for agent in (True, "1")]
     for k, d in enumerate(bad):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(d))
         code, out, err = run(capsys, "prove", str(path))
         assert code == 2 and out == "" and err.startswith("error:"), k
+    # a premise reference that is no int, true included, is rejected at its
+    # line
+    for ref in (True, "a"):
+        d = dict(good, lines=[good["lines"][0], dict(
+            good["lines"][1], just=dict(good["lines"][1]["just"],
+                                        **{"from": [ref]}))])
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(d))
+        code, out, err = run(capsys, "prove", str(path))
+        assert code == 1 and err == "" and out == (
+            f"rejected at line 2: premise reference {ref} must point to an "
+            "earlier line\n")
 
 
 def test_swap_test_command(capsys):
     code, out, _ = run(capsys, "swap-test", BARCAN, "p", "q",
                        "--formulas", "60", "--seed", "3")
     assert code == 0 and out.startswith("ok")
+
+
+def _both_outputs(capsys, *argv):
+    """(exit code, output) of a run, human and with --json."""
+    return [run(capsys, *argv, *extra)[:2] for extra in ((), ("--json",))]
+
+
+def test_comparison_outputs_are_pinned(capsys, monkeypatch):
+    # swap-test and equiv-astar-aprime print exactly this, passing and
+    # failing; a swap-test mismatch is forced by negating the swapped form
+    from awarecheck import cli
+    from awarecheck.syntax import Not
+    assert _both_outputs(capsys, "swap-test", BARCAN, "p", "q", "--formulas",
+                         "60", "--seed", "3") == [
+        (0, "ok: 60 formulas agree at all worlds\n"),
+        (0, '{"command": "swap-test", "formulas": 60, "ok": true, '
+            '"seed": 3}\n')]
+    assert _both_outputs(capsys, "equiv-astar-aprime", BARCAN,
+                         "--formulas", "40") == [
+        (0, "ok: operators agree on 40 bodies at all worlds\n"),
+        (0, '{"command": "equiv-astar-aprime", "formulas": 40, "ok": true, '
+            '"seed": 0}\n')]
+    assert _both_outputs(capsys, "equiv-astar-aprime", UNC,
+                         "--formulas", "60") == [
+        (1, "differ at s for agent 1 on !p: defined-everywhere reads True, "
+            "knowledge-based reads False\n"),
+        (1, '{"agent": 1, "aprime": "False", "astar": "True", "body": "!p", '
+            '"command": "equiv-astar-aprime", "ok": false, "seed": 0, '
+            '"world": "s"}\n')]
+    swap = cli.swap_props
+    monkeypatch.setattr(cli, "swap_props", lambda f, p, q: Not(swap(f, p, q)))
+    assert _both_outputs(capsys, "swap-test", BARCAN, "p", "q", "--seed",
+                         "3") == [
+        (1, "mismatch at s: p is True, swapped form is False\n"),
+        (1, '{"command": "swap-test", "formula": "p", "left": "True", '
+            '"ok": false, "right": "False", "seed": 3, "world": "s"}\n')]
 
 
 def test_equiv_command(capsys):

@@ -31,8 +31,8 @@ BARCAN = os.path.join(os.path.dirname(__file__), "..", "fixtures",
 
 
 def _kernel_inputs(m, domain):
-    """m's model encoding, as its context's kernel took it."""
-    k = _context(m, domain).kernel
+    """m's model encoding, as its evaluation kernel took it."""
+    k = _context(m, domain)
     return k.n_worlds, k.pwm, k.ptrue, k.succ, k.aware
 
 
@@ -211,14 +211,14 @@ def test_backends_agree_past_former_limits():
 
 
 def test_closure_size_guard_routes_to_python():
-    # 65 propositions exceed the native kernel's mask width, so the context
-    # runs the pure kernels
+    # 65 propositions exceed the native kernel's mask width, so the
+    # structure runs the pure kernels
     props = [f"p{i}" for i in range(65)]
     m = AwarenessStructure(1, props, ["w"], {"w": props}, {"w": props},
                            {1: [("w", "w")]}, {1: {"w": []}})
-    ctx = _context(m, QuantifierDomain(ops=frozenset({"not"})), full=True)
-    assert len(ctx.records) == 130  # each proposition and its negation
-    assert type(ctx.kernel) is Kernel
+    k = _context(m, QuantifierDomain(ops=frozenset({"not"})), full=True)
+    assert len(k.records) == 130  # each proposition and its negation
+    assert type(k) is Kernel
     assert str(evaluate(m, "w", parse("p64 & forall #x . (#x | !#x)"),
                         QuantifierDomain(ops=frozenset({"not"})))) == "True"
 
@@ -254,36 +254,38 @@ def _answers(m, domain, formulas):
 @given(st.integers(0, 10**6), st.integers(2, 4),
        st.lists(_sentences(2), min_size=1, max_size=4))
 def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
-    # one context per domain on each backend, the pure one forced; every
-    # answer the checker derives from a context must be the same
+    # one evaluation kernel per domain on each backend, the pure one forced;
+    # every answer the checker derives from a kernel must be the same
     m = generate_random(2, n_worlds, ["p", "q"], frozenset(), seed=seed)
     for ops in (KXA.ops, XA.ops):
         for top in (False, True):
             domain = QuantifierDomain(ops, include_top=top)
             m._ctx_cache.clear()
             native = _answers(m, domain, formulas)
-            assert type(_context(m, domain).kernel) is (
+            assert type(_context(m, domain)) is (
                 kernel.NativeKernel if kernel.BACKEND == "c" else Kernel)
             m._ctx_cache.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(checker, "NativeKernel", Kernel)
-                assert type(_context(m, domain).kernel) is Kernel
+                assert type(_context(m, domain)) is Kernel
             assert _answers(m, domain, formulas) == native
-            # and a context closed in full, not over vocabulary classes
+            # and after a full closure, which evaluation leaves alone
             m._ctx_cache.clear()
-            _context(m, domain, full=True)
+            full = _context(m, domain, full=True)
             assert _answers(m, domain, formulas) == native
-            assert _context(m, domain).classes == 0
+            k = _context(m, domain)
+            assert k is not full and k._closing in (None,
+                                                   (domain.opcodes, True))
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_closure_copied_when_read_and_freed_once(monkeypatch):
     # a class closure, resumed layer by layer, then the profiles themselves
-    # (a full re-close), then the witness search give the same answers, bit
-    # for bit, on native and pure contexts; each native closure's _Records,
-    # however often resumed, is released exactly once: when its kernel
-    # starts another closure, and when the kernel is collected.  A closure
-    # freed late, or twice, fails the test, also from a __del__
+    # (a full closure on a kernel of its own), then the witness search give
+    # the same answers, bit for bit, on native and pure kernels; each native
+    # closure's _Records, however often resumed, is released exactly once,
+    # when its kernel is collected.  A closure freed late, or twice, fails
+    # the test, also from a __del__
     closed, freed = [], []
     if kernel.BACKEND == "c":
         lib = kernel._lib
@@ -314,22 +316,23 @@ def test_closure_copied_when_read_and_freed_once(monkeypatch):
             m._ctx_cache.clear()
             gc.collect()
             assert sorted(freed) == closed
+            start = len(closed)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(checker, "NativeKernel", cls)
                 verdicts = [[evaluate(m, w, f) for w in m.worlds]
                             for f in fs]
-                n = len(closed)
                 profiles = realizable_profiles(m)
-                ctx = _context(m, KXA)
-                # the class closure's handle went with the full re-close,
-                # and only the full closure's, if native, is live
-                assert sorted(freed) + closed[n:] == closed
+                k = _context(m, KXA)
+                # the class closure and, beside it, the full closure, if
+                # native, are both live
+                assert sorted(freed) + closed[start:] == closed
+                assert len(closed) - start in (0, 2)
                 answers.append((
                     verdicts, profiles, stabilization_depth(m),
                     [[forall_witness(m, w, f) for w in m.worlds]
                      for f in fs],
-                    list(ctx.records), list(ctx.layers), ctx.classes))
-                del ctx
+                    list(k.records), list(k.layers), k.layer, k.done))
+                del k
         assert answers[0] == answers[1]
     m._ctx_cache.clear()
     gc.collect()
@@ -361,9 +364,8 @@ def test_native_witness_search_stays_in_c(monkeypatch, capsys):
             for w in m.worlds:
                 if evaluate(m, w, f) is Truth.FALSE:
                     found += forall_witness(m, w, f) is not None
-        ctx = _context(m, KXA)
-        assert type(ctx.kernel) is kernel.NativeKernel
-        assert ctx.kernel.profiles is None
+        k = _context(m, KXA)
+        assert type(k) is kernel.NativeKernel and k.profiles is None
     assert found > 20
 
 
@@ -392,7 +394,7 @@ def test_witnesses_falsify_by_the_oracle(monkeypatch, native):
                     assert direct_evaluate(m, w, inst, domain) is \
                         Truth.FALSE, (seed, w, f, witness)
                     checked += 1
-    assert type(_context(m, KXA).kernel) is (
+    assert type(_context(m, KXA)) is (
         kernel.NativeKernel if native and kernel.BACKEND == "c" else Kernel)
     assert checked > 300
 
@@ -412,15 +414,16 @@ def test_witnesses_agree_over_class_and_full_closure():
         got, sizes = [], []
         for full in (False, True):
             m._ctx_cache.clear()
-            _context(m, KXA, full=full)
-            got.append([[forall_witness(m, w, f) for w in m.worlds]
-                        for f in fs])
-            ctx = _context(m, KXA)
-            if ctx.classes is not None:
-                sizes.append(len(ctx.records))
+            with pytest.MonkeyPatch.context() as mp:
+                if full:  # the witness search gets the full kernel
+                    mp.setattr(checker, "_context", lambda m, domain, **_:
+                               _context(m, domain, True))
+                got.append([[forall_witness(m, w, f) for w in m.worlds]
+                            for f in fs])
+            sizes.append(len(_context(m, KXA, full, -1).records))
         assert got[0] == got[1]
         found += sum(w is not None for row in got[0] for w in row)
-        merged += len(sizes) == 2 and sizes[0] < sizes[1]
+        merged += sizes[0] < sizes[1]
     assert found > 50 and merged > 12
 
 

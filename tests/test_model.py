@@ -451,6 +451,33 @@ def test_loader_reports_first_violation():
         model_from_dict(5)
 
 
+def test_loader_refuses_entries_of_agents_that_do_not_exist():
+    # a key of relations or of a world's aware is one of the agents "1"..,
+    # never dropped; with no agent at all, that is the error
+    spoilers = [
+        (lambda d: d["relations"].update({"2": [["s", "t1"]]}), "'2'"),
+        (lambda d: d["relations"].update({"0": []}), "'0'"),
+        (lambda d: d["relations"].update({"01": []}), "'01'"),
+        (lambda d: d["worlds"][1]["aware"].update({"2": ["p"]}), "'2'"),
+        (lambda d: d["worlds"][0]["aware"].update({" 1": []}), "' 1'"),
+    ]
+    for spoil, name in spoilers:
+        d = model_to_dict(unc_model())
+        spoil(d)
+        with pytest.raises(InvalidStructure) as info:
+            model_from_dict(d)
+        assert str(info.value) == f"malformed model JSON: unknown agent {name}"
+    d = model_to_dict(unc_model())
+    d["relations"]["2"] = []
+    d["agents"] = 0
+    with pytest.raises(InvalidStructure, match="^need at least one agent$"):
+        model_from_dict(d)
+    # two agents, each with entries, load
+    d = model_to_dict(generate_random(2, 3, ("p", "q"), seed=2))
+    assert set(d["relations"]) == {"1", "2"}
+    assert model_from_dict(d) == generate_random(2, 3, ("p", "q"), seed=2)
+
+
 def test_a_loaded_structure_stays_undecoded(tmp_path):
     # a cold query, as `awarecheck eval` makes it, reads no set view
     path = tmp_path / "m.json"

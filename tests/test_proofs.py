@@ -260,3 +260,27 @@ def test_gen_forall_checking():
         {"system": "AXe_KXAAstarforall+T45star", "lines": lines_bad}, 1)
     out = check_proof(script)
     assert not out.accepted
+
+
+def test_json_booleans_are_neither_lines_nor_agents():
+    # isinstance(True, int) holds, yet true names no line and no agent: as
+    # an agent it is malformed, as a premise it is rejected at its line
+    with open("fixtures/proofs/kstar_mp_demo.json") as fh:
+        good = json.load(fh)
+    assert check_proof(proof_script_from_dict(good, 1)).accepted
+
+    def spoilt(**just):
+        d = json.loads(json.dumps(good))
+        d["lines"][3]["just"].update(just)
+        return d
+
+    for agent in (True, False, "1", 1.0):
+        with pytest.raises(ValueError, match="line 4 needs a formula string "
+                                             "and a well-typed justification"):
+            proof_script_from_dict(spoilt(agent=agent), 1)
+    for ref in (True, "a", 3.0):
+        out = check_proof(proof_script_from_dict(spoilt(**{"from": [ref]}),
+                                                 1))
+        assert (out.accepted, out.line, out.reason) == (
+            False, 4, f"premise reference {ref} must point to an earlier "
+                      "line")

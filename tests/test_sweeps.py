@@ -210,7 +210,7 @@ def test_batched_sweep_matches_one_sentence_path(pure, monkeypatch):
     expected, failed = [], set()
     for m in models:
         masks = corpus.false_masks(m, domain)
-        assert type(_context(m, domain).kernel) is backend
+        assert type(_context(m, domain)) is backend
         assert len(masks) == len(named)
         for (name, inst), mask in zip(named, masks):
             world = weak_counterexample(m, inst, domain)
