@@ -4,10 +4,10 @@ generate_random at seeded draws and from enumerate_models' whole stream.
 Then benchmarks the native kernel class against its pure-Python twin: the
 profile closure, and the two interpreters running the same formula programs;
 then one closure of a 12-world, 6-proposition random structure (5404
-profiles) on each backend, in full and over vocabulary classes, and the
-same two closures, on the native backend only when it is built, of 48
-seeded random structures with 2-3 agents, 6-8 worlds and 3-4 propositions,
-the structures perfbench's `query` writes to its model files; then the time
+profiles) on each backend, and the same closure, on the native backend only
+when it is built, of 48 seeded random structures with 2-3 agents, 6-8
+worlds and 3-4 propositions, the structures perfbench's `query` writes to
+its model files; then the time
 load_model takes per file on those 48 files, written by save_model; then
 the c4 sweep's instance corpus (about 60 sentences) on one rte structure,
 as one program per sentence run one by one against one program
@@ -16,7 +16,7 @@ search as `awarecheck eval` makes it: on each of the 48 structures, three
 sentences `forall #x . body` as perfbench's `query` draws them, each at a
 random world, with forall_witness timed right after evaluate() on a fresh
 kernel; and on each backend cold evaluate_with_witness calls, as `awarecheck
-eval` makes them, at w0 of the one of the 48 structures with 832 class
+eval` makes them, at w0 of the one of the 48 structures with 2048 profile
 records: for `forall #x . #x`, False with a seed as witness, so its closure
 stops at layer 0, and for `forall #x . (#x | !#x)`, True, so it closes all
 ten layers and runs the program after each.
@@ -120,14 +120,13 @@ def main(argv=None):
 
     large = generate_random(2, 12, list("pqrstu"), seed=1).encoding()
     for name, cls in CLASSES:
-        for mode, classes in (("full", 0), ("classes", 1)):
-            t0 = time.perf_counter()
-            records, _ = cls(*large).close(KXA.opcodes, 4_000_000, classes)
-            took = time.perf_counter() - t0
-            print(f"12 worlds, 6 props, {name + ':':7} {mode:8} "
-                  f"{len(records):5} profiles in {took:.3f} s")
-            results[f"large.{name}.{mode}"] = (took, "s")
-            results[f"large.{name}.{mode}.profiles"] = (len(records), "count")
+        t0 = time.perf_counter()
+        records, _ = cls(*large).close(KXA.opcodes, 4_000_000)
+        took = time.perf_counter() - t0
+        print(f"12 worlds, 6 props, {name + ':':7} {len(records):5} profiles "
+              f"in {took:.3f} s")
+        results[f"large.{name}.full"] = (took, "s")
+        results[f"large.{name}.full.profiles"] = (len(records), "count")
 
     rng = random.Random(2009)
     medium_models = [generate_random(
@@ -136,15 +135,13 @@ def main(argv=None):
         seed=rng.randrange(2 ** 31)) for _ in range(48)]
     medium = [m.encoding() for m in medium_models]
     name, cls = CLASSES[-1]
-    for mode, classes in (("full", 0), ("classes", 1)):
-        t0 = time.perf_counter()
-        n = sum(len(cls(*inp).close(KXA.opcodes, 4_000_000, classes)[0])
-                for inp in medium)
-        took = time.perf_counter() - t0
-        print(f"48 structures, 6-8 worlds, {name + ':':7} {mode:8} "
-              f"{n:6} profiles in {took:.3f} s")
-        results[f"medium.{name}.{mode}"] = (took, "s")
-        results[f"medium.{name}.{mode}.profiles"] = (n, "count")
+    t0 = time.perf_counter()
+    n = sum(len(cls(*inp).close(KXA.opcodes, 4_000_000)[0]) for inp in medium)
+    took = time.perf_counter() - t0
+    print(f"48 structures, 6-8 worlds, {name + ':':7} {n:6} profiles in "
+          f"{took:.3f} s")
+    results[f"medium.{name}.full"] = (took, "s")
+    results[f"medium.{name}.full.profiles"] = (n, "count")
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"model{k:02d}.json")
@@ -212,7 +209,7 @@ def main(argv=None):
               f"search ({n // len(searches)} x {len(searches)} searches)")
         results[f"witness.{name}"] = (1e6 * took / n, "us")
 
-    m = medium_models[14]  # 832 class records in 10 layers
+    m = medium_models[14]  # 2048 profile records in 10 layers
     for name, cls in CLASSES:
         native = checker.NativeKernel
         checker.NativeKernel = cls
@@ -227,7 +224,7 @@ def main(argv=None):
 
                 took = 1e6 / timed(query, args.seconds)
                 print(f"layered  {name + ':':7} {took:8.1f} us per cold "
-                      f"{verdict} eval at w0 of 832 class records")
+                      f"{verdict} eval at w0 of 2048 profile records")
                 results[f"layered.{name}.{verdict}"] = (took, "us")
         finally:
             checker.NativeKernel = native

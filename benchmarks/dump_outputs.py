@@ -12,12 +12,12 @@ and without --check-rules, for three seeds; the rte runs also sweep the
 enumerated structures of up to 2 worlds.  Then `eval --json` of 8 seeded
 quantified sentences each (a quantifier over a quantifier-free body, or
 nested quantifiers) on 36 `gen` structures with 2-3 agents, 6-8 worlds and
-3-4 propositions, where the vocabulary classes of the quantifier's domain
-merge many profiles.  Last, `prove --json`, with and without --include-top,
-for every script in fixtures/proofs/ and for one-line scripts that claim
-each schema of each system of PROVE_SYSTEMS for 3 seeded instances of it,
-and for the same instances another schema of that system, chosen at random,
-which mostly rejects them.
+3-4 propositions, the sizes of perfbench's `query` structures.  Last,
+`prove --json`, with and without --include-top, for every script in
+fixtures/proofs/ and for one-line scripts that claim each schema of each
+system of PROVE_SYSTEMS for 3 seeded instances of it, and for the same
+instances another schema of that system, chosen at random, which mostly
+rejects them.
 
 Run:  PYTHONPATH=src python3 benchmarks/dump_outputs.py OUT.txt
       (then diff OUT.txt against the same run in another checkout)

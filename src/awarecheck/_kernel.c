@@ -10,16 +10,14 @@
    one call and, into a buffer the caller may pass, records for each
    quantifier node that uses no slot the first profile that falsifies it at
    each world, which the witness search reads.  ak_close keys its records
-   either by vocabulary, which gives every (vocabulary, truth) pair, or by
-   vocabulary class (see cl), which gives one record per class and truth
-   and the same verdicts from ak_run.  It closes by BFS layer and can stop
-   at any layer and resume later: the records closed through a layer are a
-   prefix of the whole closure's, so a quantifier with a quantifier-free
-   body that a prefix falsifies at a world is False there, with the same
-   first falsifier, and a world query may stop at the layer that decides it.
-   The checker closes a structure only when a program with quantifier slots
-   is to run (over classes, layer by layer for a query at one world) or a
-   caller reads the profiles themselves (in full); ak_run must not see a
+   by (vocab, truth), which gives every realizable profile.  It closes by
+   BFS layer and can stop at any layer and resume later: the records closed
+   through a layer are a prefix of the whole closure's, so a quantifier with
+   a quantifier-free body that a prefix falsifies at a world is False there,
+   with the same first falsifier, and a world query may stop at the layer
+   that decides it.  The checker closes a structure only when a program
+   with quantifier slots is to run (layer by layer for a query at one
+   world) or a caller reads the profiles themselves; ak_run must not see a
    program with slots before ak_close ran.
    Python owns the input buffers; the only memory that outlives a call is
    ak_close's output, which the caller keeps: ak_run reads its vocab and
@@ -67,63 +65,24 @@ static VF step(const Model *m, int code, int64_t agent, VF x, VF y) {
     return out;
 }
 
-/* The vocabulary classes of a model: cl(v) is the intersection of all its
-   propositions with every world's language and every awareness set that
-   contains v, the largest vocabulary that lies in the same languages and
-   awareness sets as v.  Every step reads a vocabulary only through those,
-   so records with the same class and truth are interchangeable.  sets holds
-   the n languages and awareness sets as proposition masks; memo, when the
-   model has few enough propositions, holds cl(v) + 1 per v once known. */
-typedef struct {
-    uint64_t all, *sets, *memo;
-    int64_t n;
-} Classes;
-
-static uint64_t cl(Classes *c, uint64_t vocab) {
-    if (c->memo && c->memo[vocab]) return c->memo[vocab] - 1;
-    uint64_t out = c->all;
-    for (int64_t k = 0; k < c->n; k++)
-        if (!(vocab & ~c->sets[k])) out &= c->sets[k];
-    if (c->memo) c->memo[vocab] = out + 1;
-    return out;
-}
-
-/* Fills c for m; 1 when out of memory. */
-static int classes_of(Classes *c, const Model *m) {
-    int64_t nw = m->n_worlds, n = nw * (1 + m->n_agents);
-    c->all = m->n_props >= 64 ? ~(uint64_t)0 : BIT(m->n_props) - 1;
-    c->sets = calloc(n + 1, sizeof *c->sets);
-    c->memo = m->n_props <= 16 ? calloc(BIT(m->n_props), sizeof *c->memo)
-                               : NULL;
-    if (!c->sets || (m->n_props <= 16 && !c->memo)) return 1;
-    c->n = n;
-    for (int64_t j = 0; j < m->n_props; j++)
-        for (int64_t w = 0; w < nw; w++)
-            if (m->pwm[j] >> w & 1) c->sets[w] |= BIT(j);
-    for (int64_t k = nw; k < c->n; k++) c->sets[k] = m->aware[k - nw];
-    return 0;
-}
-
 /* Records as parallel columns (vocab, truth, op, arg1, arg2, aux, layer,
-   key, the middle five holding int64 values), an open-addressing hash set
-   over their (key, truth) pairs (record index + 1 per slot, 0 when empty),
-   and a flag set when memory ran out.  A record's key is its vocabulary,
-   or, with classes set, its class under c.  A closure resumes from
-   frontier, the first record of the last layer closed, layer, that layer's
-   number, and done, set once a layer added nothing: the fixpoint, which
-   frees the hash set and c.  Mirrored by kernel._Records. */
-enum { C_VOCAB, C_TRUTH, C_KEY = 7, NCOLS };
+   the last five holding int64 values), an open-addressing hash set over
+   their (vocab, truth) pairs (record index + 1 per slot, 0 when empty), and
+   a flag set when memory ran out.  A closure resumes from frontier, the
+   first record of the last layer closed, layer, that layer's number, and
+   done, set once a layer added nothing: the fixpoint, which frees the hash
+   set.  Mirrored by kernel._Records. */
+enum { C_VOCAB, C_TRUTH, NCOLS = 7 };
 typedef struct {
     int64_t count, cap;
     uint64_t *col[NCOLS];
     int64_t *table;
     uint64_t mask;
-    int64_t failed, frontier, layer, done, classes;
-    Classes c;
+    int64_t failed, frontier, layer, done;
 } Records;
 
-static uint64_t slot_of(const Records *r, uint64_t key, uint64_t truth) {
-    uint64_t h = key * 0x9E3779B97F4A7C15u ^ truth;
+static uint64_t slot_of(const Records *r, uint64_t vocab, uint64_t truth) {
+    uint64_t h = vocab * 0x9E3779B97F4A7C15u ^ truth;
     h = (h ^ h >> 33) * 0xFF51AFD7ED558CCDu;
     return (h ^ h >> 33) & r->mask;
 }
@@ -136,22 +95,22 @@ static int rehash(Records *r, uint64_t size) {
     r->table = table;
     r->mask = size - 1;
     for (int64_t k = 0; k < r->count; k++) {
-        uint64_t h = slot_of(r, r->col[C_KEY][k], r->col[C_TRUTH][k]);
+        uint64_t h = slot_of(r, r->col[C_VOCAB][k], r->col[C_TRUTH][k]);
         while (table[h]) h = (h + 1) & r->mask;
         table[h] = k + 1;
     }
     return 0;
 }
 
-/* Appends a record unless its (key, truth) pair is known. */
-static void add(Records *r, uint64_t key, uint64_t vocab, uint64_t truth,
-                int64_t op, int64_t a1, int64_t a2, int64_t aux,
-                int64_t layer) {
+/* Appends a record unless its (vocab, truth) pair is known. */
+static void add(Records *r, uint64_t vocab, uint64_t truth, int64_t op,
+                int64_t a1, int64_t a2, int64_t aux, int64_t layer) {
     if (r->failed) return;
-    uint64_t h = slot_of(r, key, truth);
+    uint64_t h = slot_of(r, vocab, truth);
     for (; r->table[h]; h = (h + 1) & r->mask) {
         int64_t k = r->table[h] - 1;
-        if (r->col[C_KEY][k] == key && r->col[C_TRUTH][k] == truth) return;
+        if (r->col[C_VOCAB][k] == vocab && r->col[C_TRUTH][k] == truth)
+            return;
     }
     if (r->count == r->cap) {
         r->cap = r->cap ? 2 * r->cap : 256;
@@ -163,7 +122,7 @@ static void add(Records *r, uint64_t key, uint64_t vocab, uint64_t truth,
         if (r->failed) return;
     }
     uint64_t row[NCOLS] = {vocab, truth, (uint64_t)op, (uint64_t)a1,
-                           (uint64_t)a2, (uint64_t)aux, (uint64_t)layer, key};
+                           (uint64_t)a2, (uint64_t)aux, (uint64_t)layer};
     for (int j = 0; j < NCOLS; j++) r->col[j][r->count] = row[j];
     r->table[h] = ++r->count;
     if (2 * (uint64_t)r->count > r->mask)
@@ -171,46 +130,34 @@ static void add(Records *r, uint64_t key, uint64_t vocab, uint64_t truth,
 }
 
 /* Adds the record of P_NOT, or of P_K, P_A or P_X of a 0-based agent,
-   applied to record i, whose vocabulary and so whose key it keeps. */
+   applied to record i, whose vocabulary it keeps. */
 static void apply(Records *r, const Model *m, int code, int64_t agent,
                   int64_t i, int64_t layer) {
     VF x = {r->col[C_VOCAB][i], r->col[C_TRUTH][i]};
     VF y = step(m, code, agent, x, x);
-    add(r, r->col[C_KEY][i], y.v, y.f, code, i, -1, agent, layer);
-}
-
-static uint64_t key_of(Records *r, uint64_t vocab) {
-    return r->classes ? cl(&r->c, vocab) : vocab;
+    add(r, y.v, y.f, code, i, -1, agent, layer);
 }
 
 /* Frees what only a closure still to resume needs. */
 static void settle(Records *r) {
     free(r->table);
-    free(r->c.sets);
-    free(r->c.memo);
     r->table = NULL;
-    r->c.sets = r->c.memo = NULL;
 }
 
 /* The profile closure into r under the opcodes set in the bitmask ops,
    through BFS layer depth, or to its least fixpoint when depth is negative;
    the seeds are layer 0.  r must be zeroed on the first call, and a later
-   call with the same m, ops and classes resumes where the last one
-   stopped, so the records through a layer do not depend on the calls that
-   closed them.  With classes set, records are keyed by (cl(vocab), truth),
-   and each keeps the vocabulary and node it was first found with; else by
-   (vocab, truth).  Returns 0, 1 when the closure exceeded max_profiles,
-   or -1 when out of memory. */
+   call with the same m and ops resumes where the last one stopped, so the
+   records through a layer do not depend on the calls that closed them.
+   Returns 0, 1 when the closure exceeded max_profiles, or -1 when out of
+   memory. */
 int ak_close(const Model *m, int64_t ops, int64_t max_profiles,
-             int64_t classes, int64_t depth, Records *r) {
+             int64_t depth, Records *r) {
     if (!r->mask) {
-        r->classes = classes;
-        r->failed = rehash(r, 1024) || (classes && classes_of(&r->c, m));
+        r->failed = rehash(r, 1024);
         for (int64_t j = 0; j < m->n_props; j++)
-            add(r, key_of(r, BIT(j)), BIT(j), m->ptrue[j], P_PROP, -1, -1,
-                j, 0);
-        if (HAS(ops, P_TOP))
-            add(r, key_of(r, 0), 0, dom(m, 0), P_TOP, -1, -1, -1, 0);
+            add(r, BIT(j), m->ptrue[j], P_PROP, -1, -1, j, 0);
+        if (HAS(ops, P_TOP)) add(r, 0, dom(m, 0), P_TOP, -1, -1, -1, 0);
     }
     while (!r->failed && !r->done && r->count <= max_profiles &&
            (depth < 0 || r->layer < depth)) {
@@ -232,8 +179,7 @@ int ak_close(const Model *m, int64_t ops, int64_t max_profiles,
                 VF y = step(m, P_AND, -1,
                             (VF){r->col[C_VOCAB][i], r->col[C_TRUTH][i]},
                             (VF){r->col[C_VOCAB][i2], r->col[C_TRUTH][i2]});
-                add(r, key_of(r, r->col[C_KEY][i] | r->col[C_KEY][i2]), y.v,
-                    y.f, P_AND, i, i2, -1, layer);
+                add(r, y.v, y.f, P_AND, i, i2, -1, layer);
             }
         r->frontier = known;
         r->done = r->count == known;

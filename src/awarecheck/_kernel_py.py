@@ -32,23 +32,17 @@ any).  The records through a layer are a prefix of the whole closure's, so
 the checker can answer a query at one world from the layers that decide
 it.
 
-The closure runs in one of two modes.  Keyed by (vocab, truth) it is full:
-every profile, as realizable_profiles and the stabilization depth need.
-Keyed by (vocab_class(vocab), truth) it keeps one record per vocabulary
-class and truth map, with the vocabulary and node first found for it.
-Every step reads a vocabulary only through dom() and the awareness test,
-which see no difference within a class, so the interpreter gives the same
-verdicts over either; the checker uses the class closure for evaluation,
-closes nothing for a program without quantifier slots, and closes in full
-only a kernel of its own, for the readers of the profiles.  A kernel that was
-never closed refuses to load such a program.
+Records are keyed by (vocab, truth), so the closure holds every profile.
+The checker closes nothing for a program without quantifier slots, and one
+kernel per structure and domain otherwise, which its world queries resume
+layer by layer and the profile readers carry to the fixpoint.  A kernel
+that was never closed refuses to load a program with slots.
 
 These are the reference kernels: _kernel.c implements both natively, bit for
 bit the same, and kernel.NativeKernel runs it; the checker uses Kernel when
 the native kernel is not built or a structure's masks do not fit it.
 """
 
-from functools import cached_property
 from itertools import chain
 
 P_PROP, P_TOP, P_VAR, P_NOT, P_AND, P_K, P_A, P_X, P_FORALL = range(9)
@@ -73,11 +67,10 @@ class Kernel:
         self.succ = succ
         self.aware = aware
         self.profiles = None  # until close()
-        self._closing = None  # (ops, classes) of the closure
+        self._closing = None  # ops of the closure
         self.done = False  # whether the closure reached its fixpoint
         self.layer = -1  # the last BFS layer closed
         self.dom_cache = {0: (1 << n_worlds) - 1}
-        self.class_cache = {}
         self.program = None
 
     def dom(self, vocab):
@@ -109,69 +102,38 @@ class Kernel:
                     g &= ~(1 << w)
         return v, g
 
-    def vocab_class(self, vocab):
-        """cl(vocab): all the propositions, intersected with every world's
-        language and every awareness set that contains vocab.  It is the
-        largest vocabulary in the same languages and awareness sets, which
-        are all that dom() and step() read of a vocabulary."""
-        got = self.class_cache.get(vocab)
-        if got is None:
-            got = (1 << len(self.pwm)) - 1
-            for s in self.class_sets:
-                if not vocab & ~s:
-                    got &= s
-            self.class_cache[vocab] = got
-        return got
-
-    @cached_property
-    def class_sets(self):
-        """Every world's language, then every awareness set, as proposition
-        masks."""
-        return [sum(1 << j for j, ws in enumerate(self.pwm) if (ws >> w) & 1)
-                for w in range(self.n_worlds)] + \
-            [vocab for row in self.aware for vocab in row]
-
-    def close(self, ops, max_profiles, classes=0, depth=-1):
+    def close(self, ops, max_profiles, depth=-1):
         """The profile closure under the opcodes set in the bitmask ops
         (bits P_TOP, P_NOT, P_AND, P_K, P_A, P_X), by BFS layer, through
         layer depth, or to its least fixpoint when depth is negative; its
         profiles become the quantifier's domain.  A later call with the same
-        ops and classes resumes where the last one stopped; layer is the
-        last BFS layer closed, and done says whether the fixpoint is
-        reached.  Returns (records, layers), which the kernel keeps under
-        those names, where records[i] = (vocab_mask, truth_mask, op, arg1,
-        arg2, aux) and layers[i] is the minimal witness depth (seeds are
-        0).  (op, arg1, arg2, aux) is a program node over earlier records.
-
-        Records are keyed by (vocab, truth), or with classes set by
-        (vocab_class(vocab), truth), each keeping the vocabulary and node it
-        was first found with: one record per class and truth map, which
-        gives the interpreter the same verdicts from fewer profiles.
+        ops resumes where the last one stopped; layer is the last BFS layer
+        closed, and done says whether the fixpoint is reached.  Returns
+        (records, layers), which the kernel keeps under those names, where
+        records[i] = (vocab_mask, truth_mask, op, arg1, arg2, aux) is the
+        record of the i-th distinct (vocab, truth) pair found and layers[i]
+        is its minimal witness depth (seeds are 0).  (op, arg1, arg2, aux)
+        is a program node over earlier records.
         """
-        key_of = self.vocab_class
-        if self._closing != (ops, classes):
-            self._closing = ops, classes
+        if self._closing != ops:
+            self._closing = ops
             self.records, self.layers, self.profiles = [], [], []
-            self._keys, self._index = [], set()
+            self._index = set()
             self._frontier = self.layer = 0
             self.done = False
-        records, keys, layers, index = self.records, self._keys, \
-            self.layers, self._index
+        records, layers, index = self.records, self.layers, self._index
 
-        def add(key_truth, vocab, op, a1, a2, aux, layer):
-            if key_truth not in index:
-                index.add(key_truth)
-                records.append((vocab, key_truth[1], op, a1, a2, aux))
-                keys.append(key_truth[0])
+        def add(profile, op, a1, a2, aux, layer):
+            if profile not in index:
+                index.add(profile)
+                records.append((*profile, op, a1, a2, aux))
                 layers.append(layer)
 
         if not records:
             for j, truth in enumerate(self.ptrue):
-                key = key_of(1 << j) if classes else 1 << j
-                add((key, truth), 1 << j, P_PROP, -1, -1, j, 0)
+                add((1 << j, truth), P_PROP, -1, -1, j, 0)
             if (ops >> P_TOP) & 1:
-                key = key_of(0) if classes else 0
-                add((key, self.dom(0)), 0, P_TOP, -1, -1, -1, 0)
+                add((0, self.dom(0)), P_TOP, -1, -1, -1, 0)
         step = self.step
         # per new record: NOT, then K and X per agent, then A per agent
         agents = range(len(self.succ))
@@ -184,24 +146,21 @@ class Kernel:
             frontier, known = self._frontier, len(records)
             self.layer = layer = self.layer + 1
             for i in range(frontier, known):
-                x, key = records[i][:2], keys[i]
+                x = records[i][:2]
                 for code, ai in unary:  # each keeps the vocabulary
-                    add((key, step(code, ai, x)[1]), x[0], code, i, -1, ai,
-                        layer)
+                    add(step(code, ai, x), code, i, -1, ai, layer)
             if (ops >> P_AND) & 1:
                 # new conjunctions need an argument from the last layer;
                 # (i, i2) with frontier <= i2 <= i repeats (i2, i) or i
                 for i in range(frontier, known):
                     v, t = records[i][:2]
-                    key = keys[i]
                     for i2 in chain(range(frontier), range(i + 1, known)):
                         rec2 = records[i2]
-                        union = v | rec2[0]
-                        add((key_of(key | keys[i2]) if classes else union,
-                             t & rec2[1]), union, P_AND, i, i2, -1, layer)
+                        add((v | rec2[0], t & rec2[1]), P_AND, i, i2, -1,
+                            layer)
             self._frontier, self.done = known, len(records) == known
         if self.done:  # nothing resumes the closure: drop its hash set
-            self._keys = self._index = None
+            self._index = None
         self.profiles += [rec[:2] for rec in records[len(self.profiles):]]
         self.program = None  # node values over fewer profiles
         if not self.done and len(records) > max_profiles:

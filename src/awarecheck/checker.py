@@ -4,15 +4,12 @@ A sentence is Undefined at a world exactly when its vocabulary is not
 contained in the world's language; otherwise the usual clauses apply, with
 K_i phi counting an Undefined successor as a failure.  The propositional
 quantifier ranges over an infinite set of quantifier-free sentences; it is
-decided by quotienting that set to realizable truth profiles (see kernel),
-and, for evaluation, further to one profile per vocabulary class and truth
-map.  So a structure has a kernel per domain for evaluation, closed over
-classes, and another for the readers of the profiles, closed in full; no
-closure replaces another.  A kernel is closed only when a quantified
-sentence or a reader of the profiles needs it (see _context), and for a
-query at one world only as far as it needs: one BFS layer at a time, up to
-the first layer that decides its value and witness (see
-_quantifier_witness).
+decided by quotienting that set to realizable truth profiles (see kernel).
+A structure has one kernel per domain, which evaluation and the readers of
+the profiles share.  It is closed only when a quantified sentence or a
+reader of the profiles needs it (see _context), and for a query at one
+world only as far as the query needs: one BFS layer at a time, up to the
+first layer that decides its value and witness (see _quantifier_witness).
 
 Every sentence is compiled once per proposition order into a formula
 program, the one IR that both interpreters run and the witness search walks
@@ -108,33 +105,27 @@ class OracleBudgetExceeded(RuntimeError):
     pass
 
 
-def close_profiles(kernel, domain, classes, depth=-1):
-    """(records, layers) of the domain's profile closure on a kernel, in the
-    mode classes, through BFS layer depth or to the fixpoint; the kernel's
-    quantifiers then range over the closed profiles."""
-    return kernel.close(domain.opcodes, 4_000_000, classes, depth)
+def close_profiles(kernel, domain, depth=-1):
+    """(records, layers) of the domain's profile closure on a kernel,
+    through BFS layer depth or to the fixpoint; the kernel's quantifiers
+    then range over the closed profiles."""
+    return kernel.close(domain.opcodes, 4_000_000, depth)
 
 
-def _context(m, domain, full=False, depth=None):
-    """m's kernel under the domain, closed as far as its caller needs; there
-    is one kernel per (structure, domain, mode).  Evaluation's is closed
-    over vocabulary classes, which gives the same verdicts, through BFS
-    layer depth, to the fixpoint for -1, not at all for None.  A caller
-    that reads the profiles themselves (full) gets another kernel, closed
-    in full to the fixpoint.  A kernel closes further only when it is not
-    done and has not closed through depth."""
+def _context(m, domain, depth=None):
+    """m's kernel under the domain, closed through BFS layer depth, to the
+    fixpoint for -1, not at all for None; there is one kernel per
+    (structure, domain), and it closes further only when it is not done and
+    has not closed through depth."""
     # opcodes determines the domain, and an int hashes cheaply
-    key = domain.opcodes << 1 | full
-    k = m._ctx_cache.get(key)
+    k = m._ctx_cache.get(domain.opcodes)
     if k is None:
         # the one backend choice: native when built and the masks fit
         native = BACKEND == "c" and len(m.worlds) <= MASK_BITS >= len(m.props)
-        k = m._ctx_cache[key] = (NativeKernel if native else
-                                 _kernel_py.Kernel)(*m.encoding())
-    if full:
-        depth = -1
+        k = m._ctx_cache[domain.opcodes] = (NativeKernel if native else
+                                            _kernel_py.Kernel)(*m.encoding())
     if depth is not None and not k.done and not 0 <= depth <= k.layer:
-        close_profiles(k, domain, not full, depth)
+        close_profiles(k, domain, depth)
     return k
 
 
@@ -331,7 +322,7 @@ def weakly_valid(m, f, domain=KXA):
 def realizable_profiles(m, domain=KXA):
     """Every (vocabulary, truth map) realized by a sentence of the domain,
     in fixpoint discovery order, each with a minimal-depth witness."""
-    k = _context(m, domain, full=True)
+    k = _context(m, domain, depth=-1)
     out, memo = [], {}
     for idx, (vocab, truth, *_) in enumerate(k.records):
         vset = frozenset(p for j, p in enumerate(m.props) if (vocab >> j) & 1)
@@ -345,7 +336,7 @@ def realizable_profiles(m, domain=KXA):
 
 def stabilization_depth(m, domain=KXA):
     """Least d such that depth-<=d sentences already realize every profile."""
-    return max(_context(m, domain, full=True).layers, default=0)
+    return max(_context(m, domain, depth=-1).layers, default=0)
 
 
 def forall_witness(m, world, f, domain=KXA):
@@ -370,7 +361,7 @@ class _Undecided(Exception):
 def _quantifier_witness(m, domain, code, root, w, walk=True):
     """(root's value at world w, if walk its witness, else None): the
     witness search from node root of the program code at w, on m's
-    evaluation kernel under the domain.  One run over the program's closed
+    kernel under the domain.  One run over the program's closed
     nodes gives their values and, per quantifier among them and per world
     where it is False, its first falsifying profile; then a depth-first
     walk from root down the nodes outside every quantifier, into a
@@ -622,7 +613,7 @@ def brute_force_forall(m, world, body, var, depth, domain=KXA, cap=200_000,
     _program(m, Forall(var, body))
     if world not in m.worlds:
         raise ValueError(f"unknown world {world!r}")
-    k = _context(m, domain, full=True)
+    k = _context(m, domain, depth=-1)
     lang = m.lang[world]
     widx = m.worlds.index(world)
     nested = not is_quantifier_free(body)

@@ -1,15 +1,14 @@
 """The native kernels (profile closure + formula-program interpreter) of
 _kernel.c, behind NativeKernel, the native twin of _kernel_py.Kernel: one
 object per structure that takes the model encoding (n_worlds,
-prop_world_masks, prop_true, succ, aware) once, closes its profiles, in full
-or over vocabulary classes, to the fixpoint or through a BFS layer, resuming
-where it stopped, and runs programs over them, all the roots of a program in
-one call, with the first falsifying profile of each closed quantifier when
-asked (see _kernel_py).  The checker keeps a kernel per structure, domain
-and mode: one closed over classes once a program with quantifier slots is
-to run, and one closed in full once a caller reads the profiles themselves;
-run() refuses such a program before any closure, since the domain would be
-empty.
+prop_world_masks, prop_true, succ, aware) once, closes its profiles, to the
+fixpoint or through a BFS layer, resuming where it stopped, and runs
+programs over them, all the roots of a program in one call, with the first
+falsifying profile of each closed quantifier when asked (see _kernel_py).
+The checker keeps one kernel per structure and domain, closed once a
+program with quantifier slots is to run or a caller reads the profiles
+themselves; run() refuses such a program before any closure, since the
+domain would be empty.
 
 On first import _kernel.c is compiled with `cc -O2 -shared -fPIC` into the
 package's __pycache__/, under a name keyed by a hash of the source, and
@@ -37,12 +36,10 @@ _PTR, _INT, _MASKS = ctypes.c_void_p, ctypes.c_int64, \
 class _Records(ctypes.Structure):  # the closure's output, as in _kernel.c
     _fields_ = [("count", _INT), ("cap", _INT)] + [
         (name, _MASKS if name in ("vocab", "truth") else ctypes.POINTER(_INT))
-        for name in ("vocab", "truth", "op", "a1", "a2", "aux", "layer",
-                     "key")] + \
+        for name in ("vocab", "truth", "op", "a1", "a2", "aux", "layer")] + \
         [("table", _PTR), ("mask", _INT)] + [
             (name, _INT) for name in ("failed", "frontier", "layer_closed",
-                                      "done", "classes")] + \
-        [("all", _INT), ("sets", _PTR), ("memo", _PTR), ("n_sets", _INT)]
+                                      "done")]
 
     def __del__(self):
         _lib.ak_free(self)
@@ -104,7 +101,7 @@ def _load():
                 os.remove(old)
     lib = ctypes.CDLL(path)
     records, model = ctypes.POINTER(_Records), ctypes.POINTER(_Model)
-    lib.ak_close.argtypes = [model, _INT, _INT, _INT, _INT, records]
+    lib.ak_close.argtypes = [model, _INT, _INT, _INT, records]
     lib.ak_free.argtypes, lib.ak_free.restype = [records], None
     lib.ak_close.restype = lib.ak_run.restype = ctypes.c_int
     lib.ak_run.argtypes = [model] + [_PTR] * 4 + [_INT] * 2 + [_PTR, _INT,
@@ -138,12 +135,11 @@ class NativeKernel(_kernel_py.Kernel):
                              *map(_addr, self._bufs))
         self._out = None  # the closure's, kept in C
 
-    def close(self, ops, max_profiles, classes=0, depth=-1):
-        if self._closing != (ops, classes):
-            self._closing, self._out = (ops, classes), _Records()
+    def close(self, ops, max_profiles, depth=-1):
+        if self._closing != ops:
+            self._closing, self._out = ops, _Records()
         out = self._out
-        rc = _lib.ak_close(self._model, ops, max_profiles, classes, depth,
-                           out)
+        rc = _lib.ak_close(self._model, ops, max_profiles, depth, out)
         model = self._model  # the columns may have moved
         model.n_profiles = out.count
         model.prof_v, model.prof_f = out.vocab, out.truth

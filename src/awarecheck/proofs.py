@@ -530,6 +530,9 @@ def check_proof(script, system=None, include_top=False):
             if line.rule not in system.rules:
                 return ProofOutcome(
                     False, no, f"rule {line.rule} not in {system.name}")
+            if line.agent is not None and type(line.agent) is not int:
+                return ProofOutcome(False, no,
+                                    f"agent {line.agent!r} must be an int")
             for ref in line.premises:
                 if type(ref) is not int or not 1 <= ref < no:
                     return ProofOutcome(

@@ -129,6 +129,13 @@ def _union(s, t):
 class _Modal(Formula):
     __slots__ = _fields = ("agent", "body")
 
+    def __new__(cls, agent, body):
+        # interning keys on field values, and True == 1 == 1.0: only an
+        # exact int, or a str in a schema pattern, names an agent
+        if type(agent) is not int and type(agent) is not str:
+            raise TypeError(f"agent must be an int or a str, not {agent!r}")
+        return Formula.__new__(cls, agent, body)
+
     def _init(self, agent, body):
         _set(self, "agent", agent)
         _set(self, "body", body)

@@ -419,17 +419,22 @@ def test_memoization_consistency():
 
 def test_only_quantified_programs_close(monkeypatch, capsys):
     # a quantifier-free query reads no profile and closes nothing; quantified
-    # ones close one closure per (structure, domain), over vocabulary
-    # classes, resumed a layer at a time by the world queries and to the
-    # fixpoint by the rest, and a caller of the profiles themselves closes
-    # once more, in full
+    # ones close one closure per (structure, domain), which the world
+    # queries resume a layer at a time and the rest, the readers of the
+    # profiles among them, carry to the fixpoint; it is never restarted
     from awarecheck import checker
     from awarecheck.cli import main
     calls = []
     real = checker.close_profiles
-    monkeypatch.setattr(checker, "close_profiles", lambda k, domain, *mode:
-                        calls.append((domain, *mode)) or real(k, domain,
-                                                               *mode))
+
+    def close(k, domain, depth=-1):
+        before = list(getattr(k, "records", ()))
+        calls.append((k, domain, depth))
+        records, layers = real(k, domain, depth)
+        assert list(records)[:len(before)] == before  # resumed, not restarted
+        return records, layers
+
+    monkeypatch.setattr(checker, "close_profiles", close)
     m = generate_random(2, 4, ["p", "q"], frozenset(), seed=3)
 
     def ask(text, domain):
@@ -442,9 +447,10 @@ def test_only_quantified_programs_close(monkeypatch, capsys):
         Corpus([f]).false_masks(m, domain)
 
     def resumed(steps):
-        # one class closure, each call going on where the last stopped
-        depths = [depth for classes, depth in steps if classes == 1]
-        return len(depths) == len(steps) and depths[:-1] == list(
+        # one kernel closed at depths 0, 1, 2, ..., each call going on where
+        # the last stopped, the last call perhaps to the fixpoint
+        depths = [depth for _, _, depth in steps]
+        return len({k for k, _, _ in steps}) == 1 and depths[:-1] == list(
             range(len(depths) - 1)) and depths[-1] in (-1, len(depths) - 1)
 
     for domain in (KXA, XA):
@@ -455,16 +461,29 @@ def test_only_quantified_programs_close(monkeypatch, capsys):
         ask("forall #x . K1 (#x | !#x) & !A2 p", domain)
         ask("!(forall #y . X2 #y)", domain)
     for domain in (KXA, XA):
-        assert resumed([c[1:] for c in calls if c[0] == domain])
+        steps = [c for c in calls if c[1] == domain]
+        assert resumed(steps) and steps[0][0] is _context(m, domain)
         assert _context(m, domain).done
+    assert len(m._ctx_cache) == 2
+    # the readers of the profiles and later queries find the closure done
     n = len(calls)
     realizable_profiles(m)
     stabilization_depth(m)
+    brute_force_forall(m, "w0", Var("x"), "x", 1)
     ask("forall #x . A1 #x", KXA)
-    assert calls[n:] == [(KXA, 0, -1)]
+    assert calls[n:] == [] and len(m._ctx_cache) == 3  # and oracle_succs
+    # a reader carries on the closure that a world query began
+    m = generate_random(2, 8, ["p", "q", "r", "s"], seed=7)
+    evaluate(m, "w0", parse("forall #x . #x", 2))
+    k = _context(m, KXA)
+    assert not k.done and calls[n:] == [(k, KXA, 0)]
+    realizable_profiles(m)
+    stabilization_depth(m)
+    assert k.done and calls[n:] == [(k, KXA, 0), (k, KXA, -1)]
+    assert list(m._ctx_cache.values()) == [k]
     assert main(["eval", "fixtures/M_barcan.json", "s",
                  "forall #x . X1 A1 #x"]) == 0
-    assert resumed([c[1:] for c in calls[n + 1:]])
+    assert resumed(calls[n + 2:])
     capsys.readouterr()
 
 
@@ -526,7 +545,7 @@ def test_layered_world_queries_match_closed_ones(monkeypatch, pure):
 @pytest.mark.parametrize("pure", [False, True])
 def test_seed_falsifier_closes_only_the_seeds(monkeypatch, pure):
     # p is in w0's language and false there, so `forall #x . #x` is False
-    # at w0 with witness p before the first layer: of a class closure of
+    # at w0 with witness p before the first layer: of a closure of
     # more than 500 records, the kernel holds only the seeds
     from awarecheck import checker
     from awarecheck._kernel_py import Kernel
@@ -545,7 +564,7 @@ def test_seed_falsifier_closes_only_the_seeds(monkeypatch, pure):
 def test_profile_cap_stops_only_queries_that_reach_it(monkeypatch, pure,
                                                        tmp_path, capsys):
     # under a cap of 50 profiles, a world query that the seeds decide
-    # answers, and one that needs the whole closure of 720 class records
+    # answers, and one that needs the whole closure of 1120 records
     # raises, through the API and as exit 2 from `eval`
     from awarecheck import checker
     from awarecheck._kernel_py import Kernel
@@ -554,8 +573,7 @@ def test_profile_cap_stops_only_queries_that_reach_it(monkeypatch, pure,
     if pure:
         monkeypatch.setattr(checker, "NativeKernel", Kernel)
     monkeypatch.setattr(checker, "close_profiles", lambda kernel, domain,
-                        classes, depth=-1: kernel.close(domain.opcodes, 50,
-                                                        classes, depth))
+                        depth=-1: kernel.close(domain.opcodes, 50, depth))
     m = generate_random(2, 8, ["p", "q", "r", "s"], seed=7)
     false, true = "forall #x . #x", "forall #x . (#x | !#x)"
     assert evaluate_with_witness(m, "w0", parse(false, 2)) == (F, Prop("p"))
@@ -588,10 +606,10 @@ def test_unknown_world_closes_nothing(monkeypatch):
 
 @pytest.mark.parametrize("pure", [False, True])
 def test_profile_readers_leave_evaluation_alone(monkeypatch, pure):
-    # the readers of the profiles close a kernel of their own, in full:
-    # evaluation's kernel stays the same object, holding the class
-    # closure's records, and verdicts and witnesses stay a fresh
-    # structure's
+    # queries and the readers of the profiles share one kernel per domain:
+    # whether the readers run before, between or after the queries, the
+    # verdicts, witnesses and readings are a fresh structure's, and the
+    # structure holds that one kernel, closed once, to the fixpoint
     from awarecheck import checker
     from awarecheck._kernel_py import Kernel
     if pure:
@@ -599,8 +617,8 @@ def test_profile_readers_leave_evaluation_alone(monkeypatch, pure):
 
     def twin():
         # p and q lie in the same languages and awareness sets and are true
-        # at the same worlds, so the class closure drops q's seed and every
-        # later record index differs from the full closure's
+        # at the same worlds, so many profiles are interchangeable and a
+        # witness could be found through either
         return AwarenessStructure(
             1, ["p", "q", "r"], ["s", "t"], dict.fromkeys("st", "pqr"),
             {"s": "pq", "t": "r"}, {1: [("s", "t"), ("t", "t")]},
@@ -610,39 +628,37 @@ def test_profile_readers_leave_evaluation_alone(monkeypatch, pure):
         "forall #x . (A1 #x -> K1 #x) & !(forall #y . X1 (#y | p))",
         "forall #x . A1 #x")]
     body = parse("forall #x . (A1 #x -> K1 #x)", 1).body
-    structures = [(twin(), twin())] + [
-        tuple(generate_random(1, 6, ["p", "q", "r"], seed=seed)
-              for _ in range(2)) for seed in range(6)]
+    makers = [twin] + [lambda seed=seed: generate_random(
+        1, 6, ["p", "q", "r"], seed=seed) for seed in range(6)]
 
     def answers(m, fs):
         return [[(evaluate(m, w, f), forall_witness(m, w, f))
                  for w in m.worlds] for f in fs]
 
-    merged = 0
-    for m, fresh in structures:
-        want = answers(fresh, fs)
-        assert answers(m, fs) == want
-        for f in fs:
-            satisfying_worlds(m, f)
-        k = _context(m, KXA)
-        classes = list(k.records)
-        assert k.done and classes == list(Kernel(*m.encoding()).close(
-            KXA.opcodes, 4_000_000, 1)[0])
-        readers = [
-            lambda m: realizable_profiles(m),
-            lambda m: stabilization_depth(m),
-            lambda m: [brute_force_forall(m, w, body, "x", 2)
-                       for w in m.worlds]]
-        for read in readers:
-            assert read(m) == read(fresh)
-            assert _context(m, KXA) is k and list(k.records) == classes
-        full = _context(m, KXA, full=True)
-        assert full is not k and len(full.records) == len(
-            realizable_profiles(m))
-        merged += len(classes) < len(full.records)
-        # the last program loaded is the first one asked again
-        assert answers(m, fs[::-1]) == want[::-1]
-    assert merged >= 4
+    def read(m):
+        return (realizable_profiles(m), stabilization_depth(m),
+                [brute_force_forall(m, w, body, "x", 2) for w in m.worlds])
+
+    for make in makers:
+        want, readings = answers(make(), fs), read(make())
+        for when in range(len(fs) + 1):  # the readers run before fs[when]
+            m = make()
+            k = _context(m, KXA)
+            got = []
+            for i, f in enumerate(fs):
+                if i == when:
+                    assert read(m) == readings
+                got += answers(m, [f])
+            if when == len(fs):
+                assert read(m) == readings
+            assert got == want
+            assert [v for v in m._ctx_cache.values()
+                    if isinstance(v, Kernel)] == [k]
+            assert k.done and list(k.records) == list(Kernel(
+                *m.encoding()).close(KXA.opcodes, 4_000_000)[0])
+            assert len(k.records) == len(readings[0])
+            # the last program loaded is the first one asked again
+            assert answers(m, fs[::-1]) == want[::-1]
 
 
 CORPUS = [  # repeated closed subformulas, one body under two binders,

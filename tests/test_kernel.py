@@ -36,14 +36,12 @@ def _kernel_inputs(m, domain):
     return k.n_worlds, k.pwm, k.ptrue, k.succ, k.aware
 
 
-def _closures_agree(m, domain, classes=0):
-    """A pure and a native kernel over m, each closed under the domain, over
-    vocabulary classes when classes is 1, once their closures are seen to
-    agree."""
+def _closures_agree(m, domain):
+    """A pure and a native kernel over m, each closed under the domain, once
+    their closures are seen to agree."""
     kernels = [cls(*_kernel_inputs(m, domain))
                for cls in (Kernel, kernel.NativeKernel)]
-    pure, native = (k.close(domain.opcodes, 4_000_000, classes)
-                    for k in kernels)
+    pure, native = (k.close(domain.opcodes, 4_000_000) for k in kernels)
     assert pure == tuple(map(list, native))
     # the profile columns ak_run reads in place, as many as it reads
     model = kernels[1]._model
@@ -89,14 +87,13 @@ def test_closure_backends_agree():
         m = generate_random(2, 4 + seed % 3, ["p", "q", "r"], frozenset(),
                             seed=seed)
         for domain in domains:
-            for classes in (0, 1):
-                _closures_agree(m, domain, classes)
+            _closures_agree(m, domain)
 
 
 @needs_c
 def test_eval_backends_agree():
     # the native and the pure interpreter run the same programs, with the
-    # same results over the full and the class closure
+    # same results
     rng = random.Random(77)
     for seed in range(60):
         m = generate_random(2, 4, ["p", "q"], frozenset(), seed=seed)
@@ -105,45 +102,10 @@ def test_eval_backends_agree():
                                         quantifier_prob=0.3,
                                         allow_top=(seed % 3 == 0))
                         for _ in range(8)]
-            full, classes = (
-                _evaluators_agree(m, _closures_agree(m, domain, mode),
-                                  formulas) for mode in (0, 1))
-            assert full == classes
+            _evaluators_agree(m, _closures_agree(m, domain), formulas)
 
 
-def _signature(k, vocab):
-    """The worlds whose language, and per agent the worlds whose awareness,
-    contains the vocabulary, read off k's model encoding."""
-    return (k.dom(vocab), tuple(
-        sum(1 << w for w, aware in enumerate(row) if not vocab & ~aware)
-        for row in k.aware))
-
-
-def test_class_closure_is_the_quotient():
-    # one record per (signature, truth map) of the full closure, at the
-    # least layer of the profiles with that pair, on each backend
-    classes = [Kernel] + [kernel.NativeKernel] * (kernel.BACKEND == "c")
-    merged = 0
-    for seed in range(24):
-        m = generate_random(1 + seed % 3, 3 + seed % 4,
-                            ["p", "q", "r", "s"][:2 + seed % 3], seed=seed)
-        for domain in (KXA, XA, QuantifierDomain(include_top=True)):
-            for cls in classes:
-                k = cls(*_kernel_inputs(m, domain))
-                full, full_layers = k.close(domain.opcodes, 4_000_000)
-                least = {}
-                for rec, layer in zip(full, full_layers):
-                    least.setdefault((_signature(k, rec[0]), rec[1]), layer)
-                records, layers = k.close(domain.opcodes, 4_000_000, 1)
-                got = {(_signature(k, rec[0]), rec[1]): layer
-                       for rec, layer in zip(records, layers)}
-                assert len(got) == len(records) and got == least
-                merged += len(records) < len(full)
-    assert merged > 50
-
-
-@pytest.mark.parametrize("classes", [0, 1])
-def test_resumed_closure_is_the_one_shot_closure(classes):
+def test_resumed_closure_is_the_one_shot_closure():
     # a closure resumed one BFS layer at a time holds, after each step, the
     # one-shot closure's records through that layer, in its order and with
     # its layers, and runs over them as over the same prefix on the other
@@ -164,11 +126,11 @@ def test_resumed_closure_is_the_one_shot_closure(classes):
             steps = []
             for cls in backends:
                 whole = tuple(map(list, cls(*inputs).close(
-                    domain.opcodes, 4_000_000, classes)))
+                    domain.opcodes, 4_000_000)))
                 k, depth, got = cls(*inputs), 0, []
                 while not k.done:
                     records, layers = map(list, k.close(
-                        domain.opcodes, 4_000_000, classes, depth))
+                        domain.opcodes, 4_000_000, depth))
                     through = sum(layer <= depth for layer in whole[1])
                     assert (records, layers) == (whole[0][:through],
                                                  whole[1][:through])
@@ -177,8 +139,8 @@ def test_resumed_closure_is_the_one_shot_closure(classes):
                                 falsifiers))
                     depth += 1
                 assert depth == max(whole[1]) + 2
-                assert tuple(map(list, k.close(domain.opcodes, 4_000_000,
-                                               classes))) == whole
+                assert tuple(map(list, k.close(domain.opcodes,
+                                               4_000_000))) == whole
                 steps.append(got)
             assert steps[1:] in ([], steps[:1])
 
@@ -216,7 +178,7 @@ def test_closure_size_guard_routes_to_python():
     props = [f"p{i}" for i in range(65)]
     m = AwarenessStructure(1, props, ["w"], {"w": props}, {"w": props},
                            {1: [("w", "w")]}, {1: {"w": []}})
-    k = _context(m, QuantifierDomain(ops=frozenset({"not"})), full=True)
+    k = _context(m, QuantifierDomain(ops=frozenset({"not"})), depth=-1)
     assert len(k.records) == 130  # each proposition and its negation
     assert type(k) is Kernel
     assert str(evaluate(m, "w", parse("p64 & forall #x . (#x | !#x)"),
@@ -254,8 +216,8 @@ def _answers(m, domain, formulas):
 @given(st.integers(0, 10**6), st.integers(2, 4),
        st.lists(_sentences(2), min_size=1, max_size=4))
 def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
-    # one evaluation kernel per domain on each backend, the pure one forced;
-    # every answer the checker derives from a kernel must be the same
+    # one kernel per domain on each backend, the pure one forced; every
+    # answer the checker derives from a kernel must be the same
     m = generate_random(2, n_worlds, ["p", "q"], frozenset(), seed=seed)
     for ops in (KXA.ops, XA.ops):
         for top in (False, True):
@@ -269,33 +231,31 @@ def test_native_and_pure_contexts_agree(seed, n_worlds, formulas):
                 mp.setattr(checker, "NativeKernel", Kernel)
                 assert type(_context(m, domain)) is Kernel
             assert _answers(m, domain, formulas) == native
-            # and after a full closure, which evaluation leaves alone
+            # and after the readers closed the kernel to the fixpoint
             m._ctx_cache.clear()
-            full = _context(m, domain, full=True)
+            k = _context(m, domain, depth=-1)
             assert _answers(m, domain, formulas) == native
-            k = _context(m, domain)
-            assert k is not full and k._closing in (None,
-                                                   (domain.opcodes, True))
+            assert _context(m, domain) is k
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_closure_copied_when_read_and_freed_once(monkeypatch):
-    # a class closure, resumed layer by layer, then the profiles themselves
-    # (a full closure on a kernel of its own), then the witness search give
-    # the same answers, bit for bit, on native and pure kernels; each native
-    # closure's _Records, however often resumed, is released exactly once,
-    # when its kernel is collected.  A closure freed late, or twice, fails
-    # the test, also from a __del__
+    # a closure resumed layer by layer, then carried to the fixpoint by the
+    # readers of the profiles, then the witness search give the same
+    # answers, bit for bit, on native and pure kernels; there is one native
+    # closure per (structure, domain), and its _Records, however often
+    # resumed, is released exactly once, when its kernel is collected.  A
+    # closure freed late, or twice, fails the test, also from a __del__
     closed, freed = [], []
     if kernel.BACKEND == "c":
         lib = kernel._lib
         real_close, real_free = lib.ak_close, lib.ak_free
 
-        def ak_close(model, ops, cap, classes, depth, out):
+        def ak_close(model, ops, cap, depth, out):
             if not hasattr(out, "serial"):  # a new closure, not a resume
                 out.serial = len(closed)
                 closed.append(out.serial)
-            return real_close(model, ops, cap, classes, depth, out)
+            return real_close(model, ops, cap, depth, out)
 
         def ak_free(out):
             if hasattr(out, "serial"):  # not a closure of an earlier test
@@ -323,10 +283,9 @@ def test_closure_copied_when_read_and_freed_once(monkeypatch):
                             for f in fs]
                 profiles = realizable_profiles(m)
                 k = _context(m, KXA)
-                # the class closure and, beside it, the full closure, if
-                # native, are both live
+                # the one closure, if native, is live
                 assert sorted(freed) + closed[start:] == closed
-                assert len(closed) - start in (0, 2)
+                assert len(closed) - start in (0, 1)
                 answers.append((
                     verdicts, profiles, stabilization_depth(m),
                     [[forall_witness(m, w, f) for w in m.worlds]
@@ -337,7 +296,7 @@ def test_closure_copied_when_read_and_freed_once(monkeypatch):
     m._ctx_cache.clear()
     gc.collect()
     assert sorted(freed) == closed
-    assert len(closed) == 24 * (kernel.BACKEND == "c")
+    assert len(closed) == 12 * (kernel.BACKEND == "c")
 
 
 @needs_c
@@ -397,34 +356,6 @@ def test_witnesses_falsify_by_the_oracle(monkeypatch, native):
     assert type(_context(m, KXA)) is (
         kernel.NativeKernel if native and kernel.BACKEND == "c" else Kernel)
     assert checked > 300
-
-
-def test_witnesses_agree_over_class_and_full_closure():
-    # the class closure may find a class through another vocabulary than
-    # the full closure, yet the witness search names the same sentences
-    rng = random.Random(31)
-    found = merged = 0
-    for seed in range(24):
-        m = generate_random(2, 4 + seed % 3, ["p", "q", "r"], seed=seed)
-        fs = [Forall("x", random_open_formula(rng, m.props, m.agents, "x",
-                                              max_depth=3))
-              for _ in range(3)]
-        fs += [random_sentence(rng, m.props, m.agents, max_depth=4,
-                               quantifier_prob=0.4) for _ in range(3)]
-        got, sizes = [], []
-        for full in (False, True):
-            m._ctx_cache.clear()
-            with pytest.MonkeyPatch.context() as mp:
-                if full:  # the witness search gets the full kernel
-                    mp.setattr(checker, "_context", lambda m, domain, **_:
-                               _context(m, domain, True))
-                got.append([[forall_witness(m, w, f) for w in m.worlds]
-                            for f in fs])
-            sizes.append(len(_context(m, KXA, full, -1).records))
-        assert got[0] == got[1]
-        found += sum(w is not None for row in got[0] for w in row)
-        merged += sizes[0] < sizes[1]
-    assert found > 50 and merged > 12
 
 
 def test_one_kernel_per_context(monkeypatch):

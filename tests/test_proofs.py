@@ -262,6 +262,23 @@ def test_gen_forall_checking():
     assert not out.accepted
 
 
+def test_rule_agents_are_exact_ints():
+    # a Gen_K line whose agent is True or 1.0 is rejected at that line: it
+    # is neither read as agent 1 nor a crash
+    from awarecheck.proofs import ProofLine, ProofScript
+    premise = parse("p -> p", 1)
+    for agent, accepted in ((1, True), (True, False), (1.0, False)):
+        script = ProofScript("AX_KXAforall", (
+            ProofLine(premise, axiom="Prop"),
+            ProofLine(K(1, premise), rule="Gen_K", premises=(1,),
+                      agent=agent)))
+        out = check_proof(script)
+        assert out.accepted is accepted
+        if not accepted:
+            assert (out.line, out.reason) == (
+                2, f"agent {agent!r} must be an int")
+
+
 def test_json_booleans_are_neither_lines_nor_agents():
     # isinstance(True, int) holds, yet true names no line and no agent: as
     # an agent it is malformed, as a premise it is rejected at its line

@@ -255,6 +255,19 @@ def test_equal_formulas_are_one_node():
     assert f.left is K(1, Prop("p"))
 
 
+def test_an_agent_is_an_exact_int_or_a_str():
+    # interning keys on field values and True == 1 == 1.0, so an agent of
+    # another type would share a node with agent 1 and print as itself
+    p = Prop("p")
+    for op in (K, A, X):
+        for bad in (True, False, 1.0, None):
+            with pytest.raises(TypeError, match="agent must be an int"):
+                op(bad, p)
+    f = parse("K1 p", 1)
+    assert f is K(1, p) and type(f.agent) is int and pretty(f) == "K1 p"
+    assert K("i", p).agent == "i"  # a schema pattern's agent
+
+
 def test_substitution_returns_existing_nodes():
     f = parse("K1 p & forall #x . A1 #x", 1)
     assert subst_var(f, "x", q) is f
