@@ -7,12 +7,16 @@ kernel backend and why it was chosen, the machine it ran on, and
 `src_lines`: per file of src/awarecheck/ and in total, the lines that hold
 code, neither blank nor only comment nor docstring (found with ast and
 tokenize in *.py; _kernel.c is counted with its comments stripped).
+`tier1_pure` has the same fields for a second Tier-1 run on the pure
+kernels: from a copy of src/ without __pycache__/, so that no cached
+native library loads, and with a PATH that holds only a link to the
+Python interpreter, so that no cc can build one.
 
 Run:  python3 benchmarks/bench.py LABEL [--base REV --pairs N]
                                         [--workloads sweep query]
 
 perfbench runs in a child process per workload, from this checkout's src/,
-and so does Tier-1, once, writing its per-test durations to a temporary
+and so does each Tier-1 run, writing its per-test durations to a temporary
 JUnit XML file.
 
 With --base, the file also gets a `pairs` section: REV is exported with
@@ -42,6 +46,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -184,13 +189,22 @@ def pairs(base, n, workloads):
     return out
 
 
-def tier1():
+def tier1(pure=False):
     """Tier-1's wall time, its outcome counts and the SLOW_TESTS durations,
-    in seconds, from one pytest run."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.join(ROOT, "src"),
-                      os.environ.get("PYTHONPATH")])))
+    in seconds, from one pytest run; with pure, on the pure kernels (see
+    the module docstring)."""
     with tempfile.TemporaryDirectory() as tmp:
+        src, env = os.path.join(ROOT, "src"), dict(os.environ)
+        if pure:
+            src, bin_dir = os.path.join(tmp, "src"), os.path.join(tmp, "bin")
+            shutil.copytree(os.path.join(ROOT, "src"), src,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            os.mkdir(bin_dir)
+            os.symlink(sys.executable, os.path.join(
+                bin_dir, os.path.basename(sys.executable)))
+            env["PATH"] = bin_dir
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
         xml = os.path.join(tmp, "tier1.xml")
         start = time.perf_counter()
         done = subprocess.run([sys.executable, *TIER1, f"--junitxml={xml}"],
@@ -250,6 +264,7 @@ def main(argv=None):
         "bench_kernel": {name: {"value": value, "unit": unit}
                          for name, (value, unit) in numbers.items()},
         "tier1": tier1(),
+        "tier1_pure": tier1(pure=True),
         "src_lines": src_lines(),
     }
     if args.base is not None:

@@ -515,10 +515,11 @@ def _oracle_state(m, memo, cap, scope):
             i: {w: sorted(m.worlds.index(t) for s, t in m.rel[i] if s == w)
                 for w in m.worlds} for i in range(1, m.agents + 1)}
     state = {} if memo is None else memo
-    # (formula, world) -> value, one memo per scope: a quantifier's value
-    # depends on the domain and the depth, so a caller passes them, or None
-    # for quantifier-free formulas, which share theirs
-    state["memo"] = state.setdefault("memos", {}).setdefault(scope, {})
+    # (formula, world) -> value, one memo per structure and scope: a
+    # quantifier's value depends on the domain and the depth, so a caller
+    # passes them, or None for quantifier-free formulas, which share theirs
+    state["memo"] = state.setdefault("memos", {}).setdefault(
+        (m.key(), scope), {})
     state.update(count=0, cap=cap)
     return state
 

@@ -6,11 +6,11 @@ __all__ = ["random_formula", "random_sentence", "random_qf_sentence",
            "random_open_formula", "TAUTOLOGY_TEMPLATES", "random_tautology"]
 
 _DEFAULT_OPS = ("not", "and", "K", "A", "X")
+_LEAF_PROB = 0.35  # the chance that a subformula above depth 0 is a leaf
 
 
 def random_formula(rng, props, n_agents, *, ops=_DEFAULT_OPS, max_depth=3,
-                   quantifier_prob=0.0, scope=(), allow_top=False,
-                   leaf_prob=0.35):
+                   quantifier_prob=0.0, scope=(), allow_top=False):
     """Random formula over the given propositions; free variables are drawn
     from scope.  Depth, operators and quantifier density are configurable;
     deterministic for a given rng."""
@@ -30,7 +30,7 @@ def random_formula(rng, props, n_agents, *, ops=_DEFAULT_OPS, max_depth=3,
         return Prop(pick)
 
     def go(depth, scope):
-        if depth <= 0 or rng.random() < leaf_prob:
+        if depth <= 0 or rng.random() < _LEAF_PROB:
             return leaf(scope)
         if quantifier_prob and rng.random() < quantifier_prob:
             var = rng.choice(["x", "y", "z"])

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, reduce
 from itertools import product
-from operator import and_, or_
+from operator import and_
 
 __all__ = [
     "AwarenessStructure", "InvalidStructure", "PropertyReport",
@@ -42,9 +42,14 @@ class AwarenessStructure:
     A structure is stored as its kernels' model encoding (see encoding()):
     per proposition the mask of the worlds whose language has it and of those
     where it is true, per agent a successor mask and an awareness mask per
-    world.  The constructor freezes its arguments and maps them to masks,
-    which _encode checks, as it checks the loader's.  The set views lang,
-    val, rel and aware keep their types: lang and val dicts from world to
+    world.  The constructor takes lang and val as dicts from world to a set
+    of propositions, rel as a dict from agent to (world, world) pairs and
+    aware as a dict from agent to a dict from world to a set; it hands them,
+    as lists, to model_from_dict, so it accepts exactly the structures a
+    model file may hold, with the same messages: names are strings, an
+    absent agent or world entry of rel or aware is empty, and an entry of an
+    agent beyond agents is refused.  The set views lang, val, rel and aware
+    are decoded from the encoding: lang and val dicts from world to
     frozenset, rel a dict from agent to a frozenset of (world, world)
     tuples, aware a dict from agent to a dict from world to frozenset; by
     generation from primitive propositions, the awareness vocabulary A_i(s)
@@ -57,34 +62,17 @@ class AwarenessStructure:
                  "_ctx_cache", "_encoding")
 
     def __init__(self, agents, props, worlds, lang, val, rel, aware):
+        m = model_from_dict({
+            "agents": agents, "props": list(props), "worlds": [
+                {"id": w, "lang": list(lang[w]), "true": list(val[w]),
+                 "aware": {str(i): list(vocab.get(w, ()))
+                           for i, vocab in aware.items()}} for w in worlds],
+            "relations": {str(i): list(map(list, pairs))
+                          for i, pairs in rel.items()}})
+        self.agents, self.props, self.worlds, self._encoding = \
+            m.agents, m.props, m.worlds, m._encoding
         self._ctx_cache = {}
-        self.agents = int(agents)
-        self.props = tuple(props)
-        self.worlds = tuple(worlds)
-        self.lang = {w: frozenset(lang[w]) for w in self.worlds}
-        self.val = {w: frozenset(val[w]) for w in self.worlds}
-        self.rel = {i: frozenset(map(tuple, rel[i]))
-                    for i in range(1, self.agents + 1)}
-        self.aware = {i: {w: frozenset(aware[i][w]) for w in self.worlds}
-                      for i in range(1, self.agents + 1)}
-        bit = {p: 1 << j for j, p in enumerate(self.props)}
-        widx = {w: j for j, w in enumerate(self.worlds)}
-        succ, strays = [[0] * len(self.worlds) for _ in self.rel], set()
-        for i, pairs in self.rel.items():
-            for s, t in pairs:
-                if s in widx and t in widx:
-                    succ[i - 1][widx[s]] |= 1 << widx[t]
-                else:
-                    strays.add(i)
-
-        def masks(sets):  # an unknown proposition sets bit len(props)
-            return [reduce(or_, [bit.get(p, 1 << len(self.props))
-                                 for p in sets[w]], 0) for w in self.worlds]
-
-        self._encoding = _encode(
-            self.agents, self.props, self.worlds, masks(self.lang),
-            masks(self.val), succ, [masks(a) for a in self.aware.values()],
-            strays)
+        self._decode()
 
     @staticmethod
     def _of(agents, props, worlds, encoding):
@@ -94,6 +82,23 @@ class AwarenessStructure:
         m.agents, m.props, m.worlds = agents, props, worlds
         m._encoding, m._ctx_cache = encoding, {}
         return m
+
+    def _decode(self):
+        """Sets the set views from the encoding."""
+        n, pwm, ptrue, succ, aware = self._encoding
+        props, worlds = self.props, self.worlds
+
+        def named(mask):
+            return frozenset(map(props.__getitem__, _bits(mask)))
+
+        self.lang, self.val = ({w: named(mask) for w, mask in
+                                zip(worlds, _transpose(masks, n))}
+                               for masks in (pwm, ptrue))
+        self.rel = {i: frozenset((s, worlds[t]) for s, row in zip(worlds, rows)
+                                 for t in _bits(row))
+                    for i, rows in enumerate(succ, 1)}
+        self.aware = {i: dict(zip(worlds, map(named, rows)))
+                      for i, rows in enumerate(aware, 1)}
 
     def __reduce__(self):  # copy and pickle carry the encoding, no cache
         return AwarenessStructure._of, (self.agents, self.props, self.worlds,
@@ -121,10 +126,10 @@ class AwarenessStructure:
 
 class _Encoded(AwarenessStructure):
     """A structure built from masks by AwarenessStructure._of, whose set
-    views are decoded from its encoding on first read.  The views are
-    decoded in this subclass alone, because a class with __getattr__ gets no
-    specialized attribute loads from CPython: once decoded, the structure
-    becomes a plain AwarenessStructure."""
+    views are decoded from its encoding on first read.  Only this subclass
+    has __getattr__, because a class with one gets no specialized attribute
+    loads from CPython: once decoded, the structure becomes a plain
+    AwarenessStructure."""
 
     __slots__ = ()
 
@@ -134,20 +139,7 @@ class _Encoded(AwarenessStructure):
         # pickle made, with no slot set yet, would recurse
         if name not in ("lang", "val", "rel", "aware"):
             raise AttributeError(name)
-        n, pwm, ptrue, succ, aware = self._encoding
-        props, worlds = self.props, self.worlds
-
-        def named(mask):
-            return frozenset(map(props.__getitem__, _bits(mask)))
-
-        self.lang, self.val = ({w: named(mask) for w, mask in
-                                zip(worlds, _transpose(masks, n))}
-                               for masks in (pwm, ptrue))
-        self.rel = {i: frozenset((s, worlds[t]) for s, row in zip(worlds, rows)
-                                 for t in _bits(row))
-                    for i, rows in enumerate(succ, 1)}
-        self.aware = {i: dict(zip(worlds, map(named, rows)))
-                      for i, rows in enumerate(aware, 1)}
+        self._decode()
         self.__class__ = AwarenessStructure
         return getattr(self, name)
 
@@ -405,9 +397,11 @@ def _check_args(agents, n_worlds, props):
     return props
 
 
+_DENSITY = 0.35  # the chance of each edge before the class closure
+
+
 def generate_random(agents, n_worlds, props, model_class=frozenset(),
-                    seed=0, density=0.35, require_nonempty_awareness=False,
-                    rng=None):
+                    seed=0, require_nonempty_awareness=False, rng=None):
     """Draws a structure passing validate() for the requested class.
 
     Sampling strategy: languages and valuations first, then relations closed
@@ -432,7 +426,7 @@ def generate_random(agents, n_worlds, props, model_class=frozenset(),
     succs, aware_rows = [], []
     for _ in range(agents):
         succ = _close([sum(1 << t for t in range(n_worlds)
-                           if rng.random() < density)
+                           if rng.random() < _DENSITY)
                        for _ in range(n_worlds)], model_class)
         row = [0] * n_worlds
         for comp in _mask_components(succ):
@@ -579,8 +573,9 @@ def model_to_dict(m):
 
 def model_from_dict(d):
     """The structure a JSON object describes, mapped in one pass to its
-    encoding and checked there as the constructor's is, with set views
-    decoded on first read; InvalidStructure for a malformed shape too."""
+    encoding and checked there, with set views decoded on first read;
+    InvalidStructure for a malformed shape too.  The constructor's
+    arguments come this way as well."""
     try:
         agents, props = d["agents"], d["props"]
         if type(agents) is not int:  # bool is an int, 1.9 would truncate

@@ -408,6 +408,32 @@ def test_oracle_memo_is_kept_per_domain_and_depth():
     assert [evaluate(m, "w1", f, domain) for domain in (XA, K_ONLY)] == [T, F]
 
 
+def test_oracle_memo_is_kept_per_structure():
+    # values are kept by (formula, world index), which another structure
+    # shares, so one memo shared across structures must not answer for
+    # another
+    def made(seed):
+        return generate_random(1, 2, ("p", "q"), seed=seed)
+
+    p = parse("p", 1)
+    memo = {}
+    direct_evaluate(made(0), "w1", p, memo=memo)
+    assert direct_evaluate(made(1000), "w1", p, memo=memo) is F
+    assert direct_evaluate(made(1000), "w1", p) is F
+    body = parse("#x | p", 1)
+    memo = {}
+    brute_force_forall(made(3), "w0", body, "x", 2, memo=memo)
+    assert brute_force_forall(made(1003), "w0", body, "x", 2,
+                              memo=memo).value is F
+    assert brute_force_forall(made(1003), "w0", body, "x", 2).value is F
+    # equal structures share their values
+    memo = {}
+    direct_evaluate(made(0), "w1", p, memo=memo)
+    assert len(memo["memos"]) == 1
+    direct_evaluate(made(0), "w1", p, memo=memo)
+    assert len(memo["memos"]) == 1
+
+
 def test_memoization_consistency():
     # repeated evaluation through the cached kernel stays stable
     m = barcan_model()

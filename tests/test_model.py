@@ -478,6 +478,69 @@ def test_loader_refuses_entries_of_agents_that_do_not_exist():
     assert model_from_dict(d) == generate_random(2, 3, ("p", "q"), seed=2)
 
 
+def _arguments(d):
+    """The constructor's arguments for every entry a model JSON object
+    holds, of any agent key: pairs as tuples, names as sets."""
+    worlds, relations = d["worlds"], d["relations"]
+    keys = set(relations).union(*(e["aware"] for e in worlds))
+    return (d["agents"], d["props"], [e["id"] for e in worlds],
+            {e["id"]: set(e["lang"]) for e in worlds},
+            {e["id"]: set(e["true"]) for e in worlds},
+            {int(k): [tuple(pair) for pair in pairs]
+             for k, pairs in relations.items()},
+            {int(k): {e["id"]: set(e["aware"][k]) for e in worlds
+                      if k in e["aware"]} for k in keys})
+
+
+def _numbered(d):
+    """Renames d's worlds to their indices, which are not names."""
+    ids = {e["id"]: j for j, e in enumerate(d["worlds"])}
+    for e in d["worlds"]:
+        e["id"] = ids[e["id"]]
+    for pairs in d["relations"].values():
+        pairs[:] = [[ids[s], ids[t]] for s, t in pairs]
+
+
+def test_constructor_accepts_what_the_loader_accepts(tmp_path):
+    # the constructor hands its arguments to the loader: the same structure
+    # or the same message for each input, and what it builds can be saved
+    # and loaded
+    spoilers = [
+        lambda d: None,
+        # an entry of an agent beyond the count
+        lambda d: d["relations"].update({"2": [["s", "t1"]]}),
+        lambda d: d["relations"].update({"2": []}),
+        lambda d: d["worlds"][1]["aware"].update({"2": ["p"]}),
+        # world ids that are not names
+        _numbered,
+        # an absent agent entry is empty
+        lambda d: d["relations"].pop("1"),
+        lambda d: d["worlds"][1]["aware"].pop("1"),
+        lambda d: [e["aware"].pop("1") for e in d["worlds"]],
+        # malformed pairs
+        lambda d: d["relations"]["1"].append(["s", "t1", "t2"]),
+        lambda d: d["relations"]["1"].append(["s"]),
+        lambda d: d["relations"]["1"].append(["s", 5]),
+    ]
+    built = 0
+    for spoil in spoilers:
+        d = model_to_dict(unc_model())
+        spoil(d)
+        got = []
+        for build in (lambda: model_from_dict(d),
+                      lambda: AwarenessStructure(*_arguments(d))):
+            try:
+                got.append(build())
+            except InvalidStructure as exc:
+                got.append(str(exc))
+        assert got[0] == got[1], got
+        if isinstance(got[1], AwarenessStructure):
+            save_model(got[1], tmp_path / "m.json")
+            assert load_model(tmp_path / "m.json") == got[1]
+            built += 1
+    assert built == 3
+
+
 def test_a_loaded_structure_stays_undecoded(tmp_path):
     # a cold query, as `awarecheck eval` makes it, reads no set view
     path = tmp_path / "m.json"
